@@ -33,6 +33,7 @@ from .modules import (
     IndependenceReport,
     SectionMatrix,
     SectionVector,
+    determinant,
     determinant_adjugate,
     kronecker_product,
     linear_independence,

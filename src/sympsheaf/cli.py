@@ -25,7 +25,7 @@ from .symplectic import (
     skew_normal_form,
     standard_J,
 )
-from .modules import determinant_adjugate
+from .modules import determinant
 
 SUBCOMMANDS = ("darboux", "normal-form", "check-symplectic", "charpoly",
                "eigen", "sheaf-check", "wedge")
@@ -79,7 +79,7 @@ def _run_check_symplectic(problem, space, U, seed):
             raise AlgebraError("no reference form given and the rank is odd")
         omega = standard_J(U, M.rows // 2)
     ok = is_symplectic_map(M, omega)
-    det, _ = determinant_adjugate(M)
+    det = determinant(M)
     result = {"symplectic": ok, "det": jsonio.entry_to_json(det)}
     certificate = {"pullback": jsonio.matrix_to_json(M.transpose() @ omega @ M)}
     if ok:

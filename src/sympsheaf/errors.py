@@ -136,10 +136,6 @@ class Degenerate(AlgebraError):
         self.points = tuple(points)
 
 
-class NoUnitPivot(AlgebraError):
-    pass
-
-
 class NonConstantRank(AlgebraError):
     def __init__(self, message, points=()):
         super().__init__(message)
@@ -158,9 +154,3 @@ class DegenerateForm(AlgebraError):
 
 class CayleyHamiltonViolation(AlgebraError):
     pass
-
-
-class NoRationalEigenvalue(AlgebraError):
-    def __init__(self, message, points=()):
-        super().__init__(message)
-        self.points = tuple(points)

@@ -29,7 +29,7 @@ from .errors import (
     DomainMismatch,
     NonUnitDeterminant,
 )
-from .modules import SectionMatrix, SectionVector, determinant_adjugate
+from .modules import SectionMatrix, SectionVector, determinant
 from .sections import Scalar, StructureSection, as_section
 from .site import OpenSet
 
@@ -349,12 +349,12 @@ def volume_element(metric: SectionMatrix, basis: Sequence[SectionVector]) -> KFo
     if len(basis) != n:
         raise DimensionMismatch(f"need {n} basis vectors, got {len(basis)}")
     S = SectionMatrix.from_columns(list(basis))
-    det_s, _ = determinant_adjugate(S)
+    det_s = determinant(S)
     if not det_s.is_unit():
         raise NonUnitDeterminant("the given vectors are not a basis",
                                  points=det_s.zero_points())
     gram = S.transpose() @ metric @ S
-    det_g, _ = determinant_adjugate(gram)
+    det_g = determinant(gram)
     if not det_g.is_unit():
         raise DegenerateMetric("metric Gram determinant vanishes",
                                points=det_g.zero_points())

@@ -29,7 +29,10 @@ def fraction_from_json(obj: Any) -> Fraction:
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
-        return Fraction(obj)
+        try:
+            return Fraction(obj)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {obj!r}") from None
     raise ValueError(f"not a rational: {obj!r}")
 
 

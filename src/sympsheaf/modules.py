@@ -252,23 +252,24 @@ def transpose_morphism(a: SectionMatrix) -> SectionMatrix:
     return a.transpose()
 
 
+def determinant(a: SectionMatrix) -> StructureSection:
+    """det(A), computed on the ℚ stalk at each point and glued into a section."""
+    if not a.is_square():
+        raise NotSquare(f"{a.rows}x{a.cols} matrix has no determinant")
+    return StructureSection.from_function(a.domain,
+                                          lambda p: qlinalg.det_bareiss(a.at_point(p)))
+
+
 def determinant_adjugate(a: SectionMatrix) -> tuple[StructureSection, SectionMatrix]:
     """Determinant and adjugate with A·adj = adj·A = det·I exactly.
 
     Both are computed on the ℚ stalk at each point and reassembled into
     sections.
     """
-    if not a.is_square():
-        raise NotSquare(f"{a.rows}x{a.cols} matrix has no determinant")
+    det = determinant(a)
     n = a.rows
-    det_vals: dict[str, Fraction] = {}
-    adj_vals: dict[str, qlinalg.QMatrix] = {}
-    for p in a.domain.labels:
-        stalk = a.at_point(p)
-        det_vals[p] = qlinalg.det_bareiss(stalk)
-        adj_vals[p] = qlinalg.adjugate(stalk) if n else []
-    det = StructureSection.from_function(a.domain, lambda p: det_vals[p])
-    adj = SectionMatrix.from_point_data(a.domain, n, n, lambda p: adj_vals[p])
+    adj = SectionMatrix.from_point_data(
+        a.domain, n, n, lambda p: qlinalg.adjugate(a.at_point(p)) if n else [])
     return det, adj
 
 

@@ -8,7 +8,6 @@ here.  Matrices are lists of rows of Fractions and are never mutated.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 QMatrix = list  # list[list[Fraction]]
 
@@ -110,16 +109,6 @@ def kernel_basis(a: QMatrix) -> list[list[Fraction]]:
             v[c] = -reduced[r][f]
         basis.append(v)
     return basis
-
-
-def solve_unique(a: QMatrix, b: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve a x = b when a is square invertible; None when singular."""
-    n = len(a)
-    aug = [a[i][:] + [b[i]] for i in range(n)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [reduced[i][n] for i in range(n)]
 
 
 def symplectic_reduce(gram: QMatrix) -> tuple[int, QMatrix]:

@@ -122,14 +122,21 @@ class StructureSection:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        """A section equals a rational when it is that constant on a nonempty
+        domain.  On U = ∅ it equals no rational: the empty function carries
+        no value, and equality with every rational at once could not agree
+        with one hash."""
         if isinstance(other, (int, Fraction)):
-            return all(v == other for v in self.values)
+            return bool(self.values) and all(v == other for v in self.values)
         if not isinstance(other, StructureSection):
             return NotImplemented
         return self.domain == other.domain and self.values == other.values
 
     def __hash__(self):
-        return hash((self.domain.mask, self.values))
+        values = self.values
+        if values and all(v == values[0] for v in values):
+            return hash(values[0])  # consistent with equality to that rational
+        return hash((self.domain.mask, values))
 
     # -- order structure ---------------------------------------------------------
 

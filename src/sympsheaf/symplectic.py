@@ -2,17 +2,18 @@
 constructive normal forms: symplectic (Darboux) bases, the degenerate block
 form, symplectomorphisms and the symplectic group, volume and orientation.
 
-The reduction follows the flag-splitting proof: find a pair (s, t̄) whose
-pairing is a unit section, normalize t = ω(s,t̄)⁻¹·t̄ so ω(s,t) = 1 exactly,
-split every other generator into the orthogonal complement via
+The reduction runs on each ℚ stalk: qlinalg.symplectic_reduce follows the
+flag-splitting proof (find a pair (s, t̄) with nonzero pairing, normalize
+t = ω(s,t̄)⁻¹·t̄ so ω(s,t) = 1, split every other generator into the
+orthogonal complement via
 
     z  ↦  z + ω(z,s)·t − ω(z,t)·s,
 
-and recurse.  Over the function sheaf a unit pairing may fail to exist
-among section generators even when the form is pointwise fine (zeros can
-move around); the remainder is then reduced on each ℚ stalk and the
-per-point choices are glued back into sections, legitimate exactly
-because the structure sheaf glues arbitrary pointwise data.
+and recurse), and the per-point changes of basis are glued into one section
+matrix P.  This is legitimate because A(U) = ∏_{x∈U} ℚ: the structure sheaf
+glues arbitrary pointwise data, so a normal form found at every stalk is a
+normal form over U.  The identity ᵗPΩP = J (or the block form) is then
+checked exactly in section arithmetic.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from .errors import (
     NotSkewSymmetric,
     NotSquare,
     NotSymplectic,
-    NoUnitPivot,
 )
 from .exterior import KForm, form_power, wedge
-from .modules import SectionMatrix, SectionVector, determinant_adjugate, try_inverse_matrix
+from .modules import SectionMatrix, SectionVector, determinant, try_inverse_matrix
 from .sections import StructureSection
 from .site import OpenSet
 
@@ -155,18 +155,12 @@ def darboux_basis(omega: SectionMatrix) -> DarbouxBasis:
     if not report.nondegenerate:
         bad = tuple(p for p, r in report.ranks.items() if r < omega.rows)
         raise Degenerate("form is degenerate; use skew_normal_form", points=bad)
-    if omega.rows == 0:
-        empty = SectionMatrix(omega.domain, [])
-        return DarbouxBasis((), (), (), empty, empty)
-    s_vecs, t_vecs, kernel = _reduce(omega)
-    if kernel:
-        raise AssertionError("nondegenerate reduction produced kernel vectors")
-    m = len(s_vecs)
-    P = SectionMatrix.from_columns(list(s_vecs) + list(t_vecs))
+    m, P = _stalkwise_reduce(omega)
     gram = P.transpose() @ omega @ P
     if gram != standard_J(omega.domain, m):
         raise AssertionError("Darboux certificate failed; arithmetic bug")
-    return DarbouxBasis(tuple(s_vecs), tuple(t_vecs), (), P, gram)
+    columns = P.columns()
+    return DarbouxBasis(tuple(columns[:m]), tuple(columns[m:]), (), P, gram)
 
 
 def skew_normal_form(omega: SectionMatrix) -> tuple[int, SectionMatrix]:
@@ -183,93 +177,27 @@ def skew_normal_form(omega: SectionMatrix) -> tuple[int, SectionMatrix]:
         reference = report.ranks[omega.domain.labels[0]]
         bad = tuple(p for p, r in report.ranks.items() if r != reference)
         raise NonConstantRank("pointwise rank is not constant", points=bad)
-    if omega.rows == 0:
-        return 0, SectionMatrix(omega.domain, [])
-    s_vecs, t_vecs, kernel = _reduce(omega)
-    m = len(s_vecs)
-    P = SectionMatrix.from_columns(list(s_vecs) + list(t_vecs) + list(kernel))
+    m, P = _stalkwise_reduce(omega)
     gram = P.transpose() @ omega @ P
     if gram != block_normal_form(omega.domain, m, omega.rows):
         raise AssertionError("normal-form certificate failed; arithmetic bug")
     return m, P
 
 
-def _reduce(omega: SectionMatrix):
-    """Shared reduction engine.  Returns (s, t, kernel) vector lists."""
-    n = omega.rows
-    domain = omega.domain
-    gens = [SectionVector.basis(domain, n, i) for i in range(n)]
-    s_vecs: list[SectionVector] = []
-    t_vecs: list[SectionVector] = []
-    while gens:
-        found = None
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if form_pairing(omega, gens[i], gens[j]).is_unit():
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if found is None:
-            if all(form_pairing(omega, gens[i], gens[j]).is_zero()
-                   for i in range(len(gens)) for j in range(i + 1, len(gens))):
-                return s_vecs, t_vecs, gens  # remainder spans the kernel
-            extra_s, extra_t, kernel = _pointwise_completion(omega, gens)
-            return s_vecs + extra_s, t_vecs + extra_t, kernel
-        i, j = found
-        s = gens[i]
-        u = form_pairing(omega, s, gens[j])
-        t = gens[j].scale(u.inverse())
-        rest = [gens[k] for k in range(len(gens)) if k not in (i, j)]
-        projected = []
-        for z in rest:
-            zs = form_pairing(omega, z, s)
-            zt = form_pairing(omega, z, t)
-            projected.append(z + t.scale(zs) - s.scale(zt))
-        s_vecs.append(s)
-        t_vecs.append(t)
-        gens = projected
-    return s_vecs, t_vecs, []
+def _stalkwise_reduce(omega: SectionMatrix) -> tuple[int, SectionMatrix]:
+    """Reduce Ω on each ℚ stalk and glue the changes of basis: returns (m, P).
 
-
-def _pointwise_completion(omega: SectionMatrix, gens: list[SectionVector]):
-    """Reduce the remaining block on each ℚ stalk and glue the choices.
-
-    The current generators form a pointwise basis of the orthogonal
-    complement reached so far; reducing their Gram matrix at each point and
-    mapping the resulting coordinates back through the generators produces
-    section vectors with the exact block pairing.
+    The columns of P are s₁..s_m, t₁..t_m, then the kernel vectors.  Callers
+    have fixed the pointwise rank with check_form, so every stalk yields the
+    same m, and their certificate ᵗPΩP catches any disagreement.  On U = ∅
+    there is no stalk and every section equation holds vacuously; m is then
+    taken to be ⌊n/2⌋.
     """
-    domain = omega.domain
-    r = len(gens)
-    pair_sections = [[form_pairing(omega, gens[i], gens[j]) for j in range(r)]
-                     for i in range(r)]
-    ms = {}
-    coords = {}
-    for p in domain.labels:
-        gram_p = [[pair_sections[i][j].at(p) for j in range(r)] for i in range(r)]
-        m_p, C_p = qlinalg.symplectic_reduce(gram_p)
-        ms[p] = m_p
-        coords[p] = C_p
-    if len(set(ms.values())) > 1:
-        reference = ms[domain.labels[0]]
-        bad = tuple(p for p, v in ms.items() if v != reference)
-        raise NonConstantRank("pointwise rank changed across the open set", points=bad)
-    if not ms:
-        raise NoUnitPivot("cannot reduce over an empty open set without a unit pivot")
-    m = ms[domain.labels[0]]
-
-    def combined(k: int) -> SectionVector:
-        def at(p: str):
-            gen_vals = [g.at_point(p) for g in gens]
-            return [sum((coords[p][i][k] * gen_vals[i][row] for i in range(r)),
-                        Fraction(0)) for row in range(len(gens[0]))]
-        return SectionVector.from_point_data(domain, len(gens[0]), at)
-
-    s_vecs = [combined(k) for k in range(m)]
-    t_vecs = [combined(m + k) for k in range(m)]
-    kernel = [combined(2 * m + k) for k in range(r - 2 * m)]
-    return s_vecs, t_vecs, kernel
+    reduced = {p: qlinalg.symplectic_reduce(omega.at_point(p)) for p in omega.domain.labels}
+    m = next((m_p for m_p, _ in reduced.values()), omega.rows // 2)
+    P = SectionMatrix.from_point_data(omega.domain, omega.rows, omega.rows,
+                                      lambda p: reduced[p][1])
+    return m, P
 
 
 def standard_sum_decomposition(basis: DarbouxBasis) -> KForm:
@@ -330,8 +258,7 @@ class SymplecticMap:
         return SymplecticMap(inv, self.form)
 
     def determinant(self) -> StructureSection:
-        det, _ = determinant_adjugate(self.matrix)
-        return det
+        return determinant(self.matrix)
 
 
 def symplectic_transvection(domain: OpenSet, m: int, v: SectionVector,

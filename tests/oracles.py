@@ -167,3 +167,50 @@ def rand_skew_of_rank(rng: random.Random, domain, n: int, m: int) -> SectionMatr
     q = rand_invertible_qq(rng, n)
     Q = SectionMatrix(domain, q)
     return Q.transpose() @ block @ Q
+
+
+def _block_stalk(m: int, n: int):
+    """The n×n block normal form [[0, I_m, 0], [−I_m, 0, 0], [0, 0, 0]] over ℚ."""
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(m):
+        out[k][m + k], out[m + k][k] = Fraction(1), Fraction(-1)
+    return out
+
+
+def rand_skew_mixed(rng: random.Random, domain, dense: int, moving: int,
+                    m_moving: int) -> SectionMatrix:
+    """A dense block interleaved with a moving-zero block, rescaled per point.
+
+    The dense block is one nondegenerate ᵗQBQ (dense × dense) at every point,
+    so its pairings vanish nowhere.  The moving block is the block form of
+    rank 2·m_moving with its indices permuted per point such that no index
+    pair pairs to a nonzero value at every point: none of its pairings is a
+    unit section.  The pointwise rank is dense + 2·m_moving everywhere.
+    Needs a domain of at least two points.
+    """
+    assert domain.size >= 2 and dense % 2 == 0
+    q = rand_invertible_qq(rng, dense)
+    dense_stalk = congruence(q, _block_stalk(dense // 2, dense))
+    block = _block_stalk(m_moving, moving)
+
+    def pairs(perm):
+        return {frozenset((perm[k], perm[m_moving + k])) for k in range(m_moving)}
+
+    while True:
+        perms = [rng.sample(range(moving), moving) for _ in domain.labels]
+        if not set.intersection(*map(pairs, perms)):
+            break
+    n = dense + moving
+    order = rng.sample(range(n), n)
+    stalks = {}
+    for p, perm in zip(domain.labels, perms):
+        total = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(dense):
+            total[i][:dense] = dense_stalk[i]
+        for i in range(moving):
+            for j in range(moving):
+                total[dense + perm[i]][dense + perm[j]] = block[i][j]
+        d = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(n)]
+        stalks[p] = [[d[i] * d[j] * total[order[i]][order[j]] for j in range(n)]
+                     for i in range(n)]
+    return SectionMatrix.from_point_data(domain, n, n, stalks.__getitem__)

@@ -29,6 +29,7 @@ CASES = [
     ("charpoly", "rot", 0),
     ("charpoly", "rect", 1),
     ("charpoly", "malformed", 2),
+    ("charpoly", "zero_denominator", 2),
     ("eigen", "eigen_sections", 0),
     ("eigen", "rect", 1),
     ("eigen", "malformed", 2),

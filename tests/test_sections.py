@@ -60,6 +60,18 @@ def test_constant_comparison():
     assert StructureSection.from_mapping(sp.whole, {"a": 5, "b": 4}) != 5
 
 
+def test_constant_hashes_like_its_value():
+    sp = sierpinski()
+    three = StructureSection.constant(sp.whole, 3)
+    assert len({three, 3}) == 1 and len({three, F(3)}) == 1
+    assert len({three, StructureSection.from_mapping(sp.whole, {"a": 3, "b": 2})}) == 2
+    # on ∅ a section equals no rational, rather than every rational at once
+    empty = StructureSection.zero(sp.empty)
+    assert empty != 0 and empty != 1
+    assert len({empty, 0}) == 2
+    assert empty == StructureSection.one(sp.empty)  # sections on ∅ all agree
+
+
 def test_units_are_nowhere_zero():
     sp = sierpinski()
     s = StructureSection.from_mapping(sp.whole, {"a": 2, "b": 0})

@@ -17,6 +17,7 @@ from sympsheaf import (
     check_completeness,
     check_form,
     darboux_basis,
+    determinant,
     determinant_adjugate,
     discrete,
     form_pairing,
@@ -48,6 +49,7 @@ from sympsheaf import qlinalg
 from oracles import (
     congruence,
     rand_section,
+    rand_skew_mixed,
     rand_skew_nondegenerate,
     rand_skew_of_rank,
     rand_vector,
@@ -185,10 +187,36 @@ def test_darboux_section_valued_with_moving_zeros():
 def test_darboux_random_section_forms_on_sites():
     rng = random.Random(4)
     sp = sierpinski()
-    for _ in range(5):
-        omega = rand_skew_nondegenerate(rng, sp.whole, 4)
+    three = discrete(["a", "b", "c"])
+    forms = [rand_skew_nondegenerate(rng, sp.whole, 4) for _ in range(5)]
+    # unit pivots on the dense block, none on the moving-zero block
+    forms += [rand_skew_mixed(rng, sp.whole, 4, 4, 2),
+              rand_skew_mixed(rng, three.whole, 2, 4, 2)]
+    for omega in forms:
+        U = omega.domain
+        m = omega.rows // 2
         basis = darboux_basis(omega)
-        assert basis.gram == standard_J(sp.whole, 2)
+        assert basis.m == m
+        assert basis.gram == standard_J(U, m)
+        assert determinant(basis.change_of_basis).is_unit()
+        for p in U.labels:
+            assert congruence(basis.change_of_basis.at_point(p), omega.at_point(p)) \
+                == standard_J(U, m).at_point(p)
+
+
+def test_darboux_on_one_point_is_the_stalk_reduction():
+    rng = random.Random(15)
+    for n in (2, 4, 6):
+        omega = rand_skew_nondegenerate(rng, PT, n)
+        _, C = qlinalg.symplectic_reduce(omega.at_point("x"))
+        assert darboux_basis(omega).change_of_basis.at_point("x") == C
+
+
+def test_darboux_on_empty_open_set_takes_half_the_size():
+    E = sierpinski().empty
+    basis = darboux_basis(SectionMatrix.zeros(E, 4, 4))
+    assert basis.m == 2 and len(basis.t) == 2 and basis.kernel == ()
+    assert basis.change_of_basis.rows == basis.change_of_basis.cols == 4
 
 
 # -- skew_normal_form ------------------------------------------------------------------
@@ -239,6 +267,42 @@ def test_normal_form_section_valued_constant_rank():
     for p in U.labels:
         assert congruence(P.at_point(p), omega.at_point(p)) \
             == block_normal_form(U, 1, 3).at_point(p)
+
+
+def test_normal_form_random_section_forms_on_sites():
+    rng = random.Random(16)
+    sp = sierpinski()
+    three = discrete(["a", "b", "c"])
+    cases = [(rand_skew_of_rank(rng, sp.whole, 5, 2), 2),
+             (rand_skew_of_rank(rng, three.whole, 4, 1), 1),
+             # unit pivots on the dense block, none on the moving-zero block
+             (rand_skew_mixed(rng, sp.whole, 2, 5, 2), 3),
+             (rand_skew_mixed(rng, three.whole, 4, 4, 1), 3)]
+    for omega, expected_m in cases:
+        U, n = omega.domain, omega.rows
+        m, P = skew_normal_form(omega)
+        assert m == expected_m
+        assert P.transpose() @ omega @ P == block_normal_form(U, m, n)
+        assert determinant(P).is_unit()
+        for p in U.labels:
+            assert congruence(P.at_point(p), omega.at_point(p)) \
+                == block_normal_form(U, m, n).at_point(p)
+
+
+def test_normal_form_on_one_point_is_the_stalk_reduction():
+    rng = random.Random(17)
+    for n, rank_half in ((3, 1), (5, 2), (6, 1)):
+        omega = rand_skew_of_rank(rng, PT, n, rank_half)
+        m_x, C = qlinalg.symplectic_reduce(omega.at_point("x"))
+        m, P = skew_normal_form(omega)
+        assert m == m_x == rank_half and P.at_point("x") == C
+
+
+def test_normal_form_on_empty_open_set_takes_half_the_size():
+    E = sierpinski().empty
+    for n in (0, 1, 4, 5):
+        m, P = skew_normal_form(SectionMatrix.zeros(E, n, n))
+        assert m == n // 2 and P.rows == P.cols == n
 
 
 # -- the standard decomposition ---------------------------------------------------------
