@@ -37,8 +37,6 @@ from .modules import (
     determinant_adjugate,
     kronecker_product,
     linear_independence,
-    mat_mul,
-    transpose_morphism,
     try_inverse_matrix,
 )
 from .presheaf import (

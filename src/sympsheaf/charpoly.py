@@ -96,9 +96,8 @@ def char_poly(M: SectionMatrix) -> Polynomial:
     n = M.rows
     if n > CHARPOLY_SIZE_CAP:
         raise DegreeTooLarge(f"characteristic polynomial capped at size {CHARPOLY_SIZE_CAP}")
-    per_point = {p: qq_charpoly(M.at_point(p)) for p in M.domain.labels}
-    coeffs = [StructureSection.from_function(M.domain, lambda p, i=i: per_point[p][i])
-              for i in range(n + 1)]
+    per_point = [qq_charpoly(s) for s in M.stalks]
+    coeffs = [StructureSection(M.domain, [c[i] for c in per_point]) for i in range(n + 1)]
     return Polynomial(section_ring(M.domain), coeffs)
 
 
@@ -118,13 +117,13 @@ def poly_apply(p: Polynomial, M: SectionMatrix) -> SectionMatrix:
     return out
 
 
-def cayley_hamilton_check(M: SectionMatrix) -> SectionMatrix:
-    """P_M(M), which the Cayley–Hamilton theorem makes the exact zero matrix.
+def cayley_hamilton_check(M: SectionMatrix, p: Polynomial) -> SectionMatrix:
+    """P_M(M) for p = P_M, which the Cayley–Hamilton theorem makes the exact zero matrix.
 
-    Returned as a certificate; a nonzero residue signals an arithmetic bug
-    and raises CayleyHamiltonViolation.
+    The residue is returned as a certificate; a nonzero residue signals an
+    arithmetic bug and raises CayleyHamiltonViolation.
     """
-    residue = poly_apply(char_poly(M), M)
+    residue = poly_apply(p, M)
     if not residue.is_zero():
         raise CayleyHamiltonViolation("P_M(M) is nonzero; arithmetic bug")
     return residue
@@ -213,22 +212,18 @@ def eigen_sections(M: SectionMatrix) -> EigenReport:
     domain = M.domain
     if domain.size == 0:
         return EigenReport((), ())
-    roots = {}
-    for p in domain.labels:
-        poly = qq_charpoly(M.at_point(p))
-        roots[p] = rational_roots(poly) if any(c != 0 for c in poly) else []
-    branch_count = min(len(r) for r in roots.values())
-    max_count = max(len(r) for r in roots.values())
+    roots = [rational_roots(qq_charpoly(s)) for s in M.stalks]  # monic, so nonzero
+    branch_count = min(map(len, roots))
+    max_count = max(map(len, roots))
     if max_count == 0:
         omitted = domain.labels  # no rational eigenvalue anywhere
     else:
-        omitted = tuple(p for p in domain.labels if len(roots[p]) < max_count)
+        omitted = tuple(p for p, r in zip(domain.labels, roots) if len(r) < max_count)
     pairs = []
     for k in range(branch_count):
-        lam = StructureSection.from_function(domain, lambda p, k=k: roots[p][k])
-        vec = SectionVector.from_point_data(
-            domain, M.rows,
-            lambda p, k=k: _eigenvector_at(M.at_point(p), roots[p][k]))
+        lam = StructureSection(domain, [r[k] for r in roots])
+        vec = SectionVector.from_stalks(
+            domain, M.rows, (_eigenvector_at(s, r[k]) for s, r in zip(M.stalks, roots)))
         if (M @ vec) != vec.scale(lam) or not vec.is_nowhere_zero():
             raise AssertionError("glued eigenpair failed verification; bug")
         pairs.append(EigenPair(lam, vec))
@@ -293,13 +288,7 @@ def reciprocal_spectrum_check(M: SectionMatrix,
         raise NotSymplectic("matrix does not preserve the form")
     p = char_poly(M)
     palindromic = p.reversed(M.rows) == p
-    spectra = {}
-    closed = True
-    for point in M.domain.labels:
-        poly = qq_charpoly(M.at_point(point))
-        roots = rational_roots(poly)
-        spectra[point] = tuple(roots)
-        for lam in roots:
-            if lam == 0 or (1 / lam) not in roots:
-                closed = False
+    spectra = {point: tuple(rational_roots([c.values[k] for c in p.coeffs]))
+               for k, point in enumerate(M.domain.labels)}
+    closed = all(lam != 0 and 1 / lam in roots for roots in spectra.values() for lam in roots)
     return ReciprocityReport(palindromic, closed, p, spectra)

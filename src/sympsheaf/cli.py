@@ -50,7 +50,7 @@ def _report(command: str, status: str, result=None, certificate=None, error=None
 
 
 def _run_darboux(problem, space, U, seed):
-    omega = jsonio.matrix_from_json(U, problem["form"])
+    omega = jsonio.matrix_from_json(U, problem["form"], "form")
     basis = darboux_basis(omega)
     result = {
         "m": basis.m,
@@ -62,7 +62,7 @@ def _run_darboux(problem, space, U, seed):
 
 
 def _run_normal_form(problem, space, U, seed):
-    omega = jsonio.matrix_from_json(U, problem["form"])
+    omega = jsonio.matrix_from_json(U, problem["form"], "form")
     m, P = skew_normal_form(omega)
     gram = P.transpose() @ omega @ P
     result = {"m": m, "change_of_basis": jsonio.matrix_to_json(P)}
@@ -73,7 +73,7 @@ def _run_normal_form(problem, space, U, seed):
 def _run_check_symplectic(problem, space, U, seed):
     M = jsonio.matrix_from_json(U, problem["matrix"])
     if "form" in problem:
-        omega = jsonio.matrix_from_json(U, problem["form"])
+        omega = jsonio.matrix_from_json(U, problem["form"], "form")
     else:
         if M.rows % 2:
             raise AlgebraError("no reference form given and the rank is odd")
@@ -90,7 +90,7 @@ def _run_check_symplectic(problem, space, U, seed):
 def _run_charpoly(problem, space, U, seed):
     M = jsonio.matrix_from_json(U, problem["matrix"])
     p = char_poly(M)
-    residue = cayley_hamilton_check(M)
+    residue = cayley_hamilton_check(M, p)
     result = {"monic": True, "coeffs": jsonio.polynomial_to_json(p)}
     certificate = {"cayley_hamilton_residue": jsonio.matrix_to_json(residue)}
     return 0, _report("charpoly", "ok", result, certificate)
@@ -148,8 +148,8 @@ def _run_sheaf_check(problem, space, U, seed):
 
 
 def _run_wedge(problem, space, U, seed):
-    xi = jsonio.kform_from_json(U, problem["xi"])
-    eta = jsonio.kform_from_json(U, problem["eta"])
+    xi = jsonio.kform_from_json(U, problem["xi"], "xi")
+    eta = jsonio.kform_from_json(U, problem["eta"], "eta")
     out = wedge(xi, eta)
     result = {"form": jsonio.kform_to_json(out),
               "degree_overflow": out.degree > out.rank}

@@ -10,6 +10,11 @@ class AlgebraError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class MalformedInput(ValueError):
+    """An input file that does not describe a problem; the message names the
+    field at fault.  Not an AlgebraError: the CLI exits with code 2."""
+
+
 class DivisionByZero(AlgebraError, ZeroDivisionError):
     pass
 

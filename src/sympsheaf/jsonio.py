@@ -4,6 +4,7 @@ Rationals serialize as integers when integral and "p/q" strings otherwise;
 sections as {"open": [...], "values": {point: rational}}; matrices as
 arrays of arrays whose entries are bare rationals (constant sections) or
 section objects; k-forms with 1-based strictly increasing multi-indices.
+Input that breaks these rules raises MalformedInput naming the field.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Sequence
 
+from .errors import MalformedInput, TopologyError, UnknownPoint
 from .exterior import KForm
 from .modules import SectionMatrix, SectionVector
 from .rings import Polynomial
@@ -42,7 +44,10 @@ def space_to_json(space: FiniteSpace) -> dict:
 
 
 def space_from_json(obj: dict) -> FiniteSpace:
-    return validate_topology(obj["points"], obj["opens"])
+    try:
+        return validate_topology(obj["points"], obj["opens"])
+    except (TopologyError, UnknownPoint) as exc:
+        raise MalformedInput(f"space.opens: {exc}") from None
 
 
 def section_to_json(s: StructureSection) -> dict:
@@ -50,13 +55,17 @@ def section_to_json(s: StructureSection) -> dict:
             "values": {p: fraction_to_json(v) for p, v in zip(s.domain.labels, s.values)}}
 
 
-def section_from_json(domain: OpenSet, obj: Any) -> StructureSection:
+def section_from_json(domain: OpenSet, obj: Any, field: str) -> StructureSection:
     if isinstance(obj, dict) and "values" in obj:
         declared = domain.space.open_set(obj.get("open", domain.labels))
         if declared != domain:
             raise ValueError(f"section declared over {declared}, expected {domain}")
-        return StructureSection.from_mapping(
-            domain, {p: fraction_from_json(v) for p, v in obj["values"].items()})
+        values = obj["values"]
+        odd = sorted(set(values) ^ set(domain.labels), key=lambda p: (p not in values, p))
+        if odd:
+            where = "not in" if odd[0] in values else "missing from"
+            raise MalformedInput(f"{field}.values.{odd[0]}: point {odd[0]!r} is {where} {domain}")
+        return StructureSection(domain, [fraction_from_json(values[p]) for p in domain.labels])
     return StructureSection.constant(domain, fraction_from_json(obj))
 
 
@@ -73,8 +82,12 @@ def matrix_to_json(m: SectionMatrix) -> list:
     return [[entry_to_json(e) for e in row] for row in m.entries]
 
 
-def matrix_from_json(domain: OpenSet, obj: Sequence) -> SectionMatrix:
-    return SectionMatrix(domain, [[section_from_json(domain, e) for e in row] for row in obj])
+def matrix_from_json(domain: OpenSet, obj: Sequence, field: str = "matrix") -> SectionMatrix:
+    for i, row in enumerate(obj):
+        if len(row) != len(obj[0]):
+            raise MalformedInput(f"{field}[{i}]: {len(row)} entries where row 0 has {len(obj[0])}")
+    return SectionMatrix(domain, [[section_from_json(domain, e, f"{field}[{i}][{j}]")
+                                   for j, e in enumerate(row)] for i, row in enumerate(obj)])
 
 
 def vector_to_json(v: SectionVector) -> list:
@@ -82,7 +95,8 @@ def vector_to_json(v: SectionVector) -> list:
 
 
 def vector_from_json(domain: OpenSet, obj: Sequence) -> SectionVector:
-    return SectionVector(domain, [section_from_json(domain, e) for e in obj])
+    return SectionVector(domain, [section_from_json(domain, e, f"vector[{i}]")
+                                  for i, e in enumerate(obj)])
 
 
 def kform_to_json(f: KForm) -> dict:
@@ -103,9 +117,9 @@ def _parse_multi_index(key: str) -> tuple[int, ...]:
     return tuple(int(part) - 1 for part in inner.split(","))
 
 
-def kform_from_json(domain: OpenSet, obj: dict) -> KForm:
+def kform_from_json(domain: OpenSet, obj: dict, field: str) -> KForm:
     degree, rank = int(obj["degree"]), int(obj["rank"])
-    coeffs = {_parse_multi_index(k): section_from_json(domain, v)
+    coeffs = {_parse_multi_index(k): section_from_json(domain, v, f"{field}.coeffs.{k}")
               for k, v in obj.get("coeffs", {}).items()}
     return KForm(domain, rank, degree, coeffs)
 

@@ -1,275 +1,282 @@
 """Free modules of sections: vectors and matrices over the function ring A(U).
 
-Morphisms between free modules are section matrices.  Determinant-style
-quantities are computed pointwise on the ℚ stalks and reassembled into
-sections, which keeps everything exact and makes the Laplace identity
-A·adj(A) = det(A)·I hold on the nose.
+Since A(U) = ∏_{x∈U} ℚ, a vector or matrix over A(U) is one ℚ vector or
+matrix per point of U, and that is how both are stored: `stalks` holds the
+stalk at each point of `domain.labels`, in that order, as tuples of
+Fractions (tuple rows for a matrix).  All arithmetic runs stalk by stalk on
+the qlinalg kernels, which keeps everything exact and makes the Laplace
+identity A·adj(A) = det(A)·I hold on the nose.  StructureSection entries
+are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import qlinalg
 from .errors import DimensionMismatch, DomainMismatch, NonUnitDeterminant, NotSquare
-from .sections import Scalar, StructureSection, as_section
+from .sections import Scalar, StructureSection, as_section, exact
 from .site import OpenSet
 
 Entry = Union[Scalar, StructureSection]
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
-class SectionVector:
-    """An element of A(U)^n: a tuple of sections over a common open set."""
+class _Stalkwise:
+    """Storage and entrywise arithmetic shared by section vectors and matrices.
 
-    __slots__ = ("domain", "entries")
+    `stalks` holds the value at each point of `domain.labels`, in that order:
+    a tuple of Fractions for a vector, a tuple of such rows for a matrix.
+    The shape is stored apart, since U = ∅ has no stalk.
+    """
 
-    def __init__(self, domain: OpenSet, entries: Iterable[Entry]):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "entries", tuple(as_section(domain, e) for e in entries))
+    __slots__ = ()
+
+    def _freeze(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
-        raise AttributeError("SectionVector is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, stalks, domain: Optional[OpenSet] = None):
+        return self.from_stalks(self.domain if domain is None else domain, *self.shape, stalks)
+
+    def restrict(self, V: OpenSet):
+        stalks = self.stalks
+        return self._like([stalks[k] for k in V.positions_in(self.domain)], V)
+
+    def _check(self, other):
+        if other.domain != self.domain:
+            raise DomainMismatch(f"{type(self).__name__}s over different open sets")
+        if other.shape != self.shape:
+            raise DimensionMismatch(f"shapes {self.shape} vs {other.shape}")
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like(map(partial(self._entrywise, add), self.stalks, other.stalks))
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._like(map(partial(self._entrywise, sub), self.stalks, other.stalks))
+
+    def __neg__(self):
+        return self._like(self._entrywise(neg, s) for s in self.stalks)
+
+    def scale(self, c: Entry):
+        c = as_section(self.domain, c)
+        return self._like(self._entrywise(partial(mul, x), s)
+                          for x, s in zip(c.values, self.stalks))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.domain, self.shape, self.stalks) == (other.domain, other.shape, other.stalks)
+
+    def __hash__(self):
+        return hash((self.domain.mask, self.shape, self.stalks))
+
+
+class SectionVector(_Stalkwise):
+    """An element of A(U)^n, stored as one ℚ vector per point of U."""
+
+    __slots__ = ("domain", "length", "stalks")
+
+    def __init__(self, domain: OpenSet, entries: Iterable[Entry]):
+        values = [as_section(domain, e).values for e in entries]
+        self._freeze(domain=domain, length=len(values),
+                     stalks=tuple(zip(*values)) if values else ((),) * domain.size)
+
+    @classmethod
+    def from_stalks(cls, domain: OpenSet, n: int, stalks: Iterable[Sequence[Fraction]]
+                    ) -> "SectionVector":
+        """The vector whose value vector at the k-th point of domain.labels is
+        the k-th stalk; the stalks hold exact rationals."""
+        stalks = tuple(map(tuple, stalks))
+        if len(stalks) != domain.size or any(len(s) != n for s in stalks):
+            raise DimensionMismatch(f"expected {domain.size} stalks of length {n}")
+        return object.__new__(cls)._freeze(domain=domain, length=n, stalks=stalks)
 
     @classmethod
     def basis(cls, domain: OpenSet, n: int, i: int) -> "SectionVector":
         """The i-th vector of the Kronecker gauge of A(U)^n."""
-        return cls(domain, [1 if j == i else 0 for j in range(n)])
+        stalk = tuple(ONE if j == i else ZERO for j in range(n))
+        return cls.from_stalks(domain, n, [stalk] * domain.size)
 
-    @classmethod
-    def from_point_data(cls, domain: OpenSet, n: int,
-                        at: Callable[[str], Sequence[Fraction]]) -> "SectionVector":
-        cols = {p: at(p) for p in domain.labels}
-        return cls(domain, [StructureSection(domain, [cols[p][i] for p in domain.labels])
-                            for i in range(n)])
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.length,)
+
+    @staticmethod
+    def _entrywise(op, *stalks) -> tuple:
+        return tuple(map(op, *stalks))
 
     def __len__(self):
-        return len(self.entries)
+        return self.length
 
     def __getitem__(self, i: int) -> StructureSection:
-        return self.entries[i]
+        i = range(self.length)[i]  # IndexError even on U = ∅, which ends iteration
+        return StructureSection(self.domain, [s[i] for s in self.stalks])
+
+    @property
+    def entries(self) -> tuple[StructureSection, ...]:
+        return tuple(self[i] for i in range(self.length))
 
     def at_point(self, label: str) -> list[Fraction]:
-        return [e.at(label) for e in self.entries]
-
-    def restrict(self, V: OpenSet) -> "SectionVector":
-        return SectionVector(V, [e.restrict(V) for e in self.entries])
+        return list(self.stalks[self.domain.position(label)])
 
     def is_nowhere_zero(self) -> bool:
         """True when the value vector is nonzero at every point of the domain."""
-        return all(any(v != 0 for v in self.at_point(p)) for p in self.domain.labels)
-
-    def __add__(self, other: "SectionVector") -> "SectionVector":
-        self._check(other)
-        return SectionVector(self.domain, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "SectionVector") -> "SectionVector":
-        self._check(other)
-        return SectionVector(self.domain, [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "SectionVector":
-        return SectionVector(self.domain, [-a for a in self.entries])
-
-    def scale(self, c: Entry) -> "SectionVector":
-        c = as_section(self.domain, c)
-        return SectionVector(self.domain, [c * a for a in self.entries])
+        return all(map(any, self.stalks))
 
     def pairing(self, other: "SectionVector") -> StructureSection:
         """Coordinate pairing ⟨u, v⟩ = Σ u_i v_i."""
         self._check(other)
-        acc = StructureSection.zero(self.domain)
-        for a, b in zip(self.entries, other.entries):
-            acc = acc + a * b
-        return acc
-
-    def _check(self, other):
-        if other.domain != self.domain:
-            raise DomainMismatch("vectors over different open sets")
-        if len(other) != len(self):
-            raise DimensionMismatch(f"lengths {len(self)} vs {len(other)}")
-
-    def __eq__(self, other):
-        if not isinstance(other, SectionVector):
-            return NotImplemented
-        return self.domain == other.domain and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.domain.mask, self.entries))
+        return StructureSection(self.domain, list(map(qlinalg.dot, self.stalks, other.stalks)))
 
     def __repr__(self):
         return f"SectionVector({list(self.entries)})"
 
 
-class SectionMatrix:
-    """A rectangular array of sections over a common open set."""
+class SectionMatrix(_Stalkwise):
+    """A rows×cols matrix over A(U), stored as one ℚ matrix per point of U."""
 
-    __slots__ = ("domain", "rows", "cols", "entries")
+    __slots__ = ("domain", "rows", "cols", "stalks")
 
     def __init__(self, domain: OpenSet, rows_data: Iterable[Iterable[Entry]]):
-        grid = tuple(tuple(as_section(domain, e) for e in row) for row in rows_data)
+        grid = [[as_section(domain, e).values for e in row] for row in rows_data]
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
-        object.__setattr__(self, "entries", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SectionMatrix is immutable")
+        self._freeze(domain=domain, rows=len(grid), cols=len(grid[0]) if grid else 0,
+                     stalks=tuple(tuple(tuple(e[k] for e in row) for row in grid)
+                                  for k in range(domain.size)))
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
+    def from_stalks(cls, domain: OpenSet, rows: int, cols: int,
+                    stalks: Iterable[qlinalg.QMatrix]) -> "SectionMatrix":
+        """The matrix whose value at the k-th point of domain.labels is the k-th
+        stalk; the stalks hold exact rationals."""
+        stalks = tuple(tuple(map(tuple, s)) for s in stalks)
+        if len(stalks) != domain.size or any(
+                len(s) != rows or any(len(r) != cols for r in s) for s in stalks):
+            raise DimensionMismatch(f"expected {domain.size} stalks of shape {rows}x{cols}")
+        return object.__new__(cls)._freeze(domain=domain, rows=rows, cols=cols, stalks=stalks)
+
+    @classmethod
     def identity(cls, domain: OpenSet, n: int) -> "SectionMatrix":
-        return cls(domain, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        stalk = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+        return cls.from_stalks(domain, n, n, [stalk] * domain.size)
 
     @classmethod
     def zeros(cls, domain: OpenSet, rows: int, cols: int) -> "SectionMatrix":
-        return cls(domain, [[0] * cols for _ in range(rows)])
+        return cls.from_stalks(domain, rows, cols, [((ZERO,) * cols,) * rows] * domain.size)
 
     @classmethod
     def from_point_data(cls, domain: OpenSet, rows: int, cols: int,
                         at: Callable[[str], qlinalg.QMatrix]) -> "SectionMatrix":
-        data = {p: at(p) for p in domain.labels}
-        return cls(domain, [[StructureSection(domain, [data[p][i][j] for p in domain.labels])
-                             for j in range(cols)] for i in range(rows)])
+        return cls.from_stalks(domain, rows, cols, ([[exact(x) for x in r] for r in at(p)]
+                                                    for p in domain.labels))
 
     @classmethod
     def from_columns(cls, columns: Sequence[SectionVector]) -> "SectionMatrix":
-        domain = columns[0].domain
-        n = len(columns[0])
-        return cls(domain, [[columns[j][i] for j in range(len(columns))] for i in range(n)])
+        domain, n = columns[0].domain, len(columns[0])
+        for c in columns[1:]:
+            columns[0]._check(c)
+        return cls.from_stalks(domain, n, len(columns),
+                               (zip(*parts) for parts in zip(*(c.stalks for c in columns))))
 
     # -- access -----------------------------------------------------------------
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    @staticmethod
+    def _entrywise(op, *stalks) -> tuple:
+        return tuple(tuple(map(op, *rows)) for rows in zip(*stalks))
+
     def __getitem__(self, ij) -> StructureSection:
-        i, j = ij
-        return self.entries[i][j]
+        i, j = range(self.rows)[ij[0]], range(self.cols)[ij[1]]
+        return StructureSection(self.domain, [s[i][j] for s in self.stalks])
+
+    @property
+    def entries(self) -> tuple[tuple[StructureSection, ...], ...]:
+        return tuple(tuple(self[i, j] for j in range(self.cols)) for i in range(self.rows))
 
     def row(self, i: int) -> SectionVector:
-        return SectionVector(self.domain, self.entries[i])
+        return SectionVector.from_stalks(self.domain, self.cols, (s[i] for s in self.stalks))
 
     def column(self, j: int) -> SectionVector:
-        return SectionVector(self.domain, [self.entries[i][j] for i in range(self.rows)])
+        return SectionVector.from_stalks(self.domain, self.rows,
+                                         ([r[j] for r in s] for s in self.stalks))
 
     def columns(self) -> list[SectionVector]:
         return [self.column(j) for j in range(self.cols)]
 
     def at_point(self, label: str) -> qlinalg.QMatrix:
-        return [[e.at(label) for e in row] for row in self.entries]
-
-    def restrict(self, V: OpenSet) -> "SectionMatrix":
-        return SectionMatrix(V, [[e.restrict(V) for e in row] for row in self.entries])
+        return [list(r) for r in self.stalks[self.domain.position(label)]]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     # -- arithmetic ----------------------------------------------------------------
 
-    def _check_domain(self, other):
+    def __matmul__(self, other):
+        if not isinstance(other, (SectionVector, SectionMatrix)):
+            return NotImplemented
         if other.domain != self.domain:
             raise DomainMismatch("matrices over different open sets")
-
-    def __add__(self, other: "SectionMatrix") -> "SectionMatrix":
-        self._check_domain(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in addition")
-        return SectionMatrix(self.domain, [[a + b for a, b in zip(r1, r2)]
-                                           for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "SectionMatrix") -> "SectionMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "SectionMatrix":
-        return SectionMatrix(self.domain, [[-e for e in row] for row in self.entries])
-
-    def scale(self, c: Entry) -> "SectionMatrix":
-        c = as_section(self.domain, c)
-        return SectionMatrix(self.domain, [[c * e for e in row] for row in self.entries])
-
-    def __matmul__(self, other):
+        if other.shape[0] != self.cols:
+            raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.shape}")
         if isinstance(other, SectionVector):
-            self._check_domain(other)
-            if len(other) != self.cols:
-                raise DimensionMismatch(f"{self.rows}x{self.cols} times length {len(other)}")
-            out = []
-            for i in range(self.rows):
-                acc = StructureSection.zero(self.domain)
-                for j in range(self.cols):
-                    acc = acc + self.entries[i][j] * other[j]
-                out.append(acc)
-            return SectionVector(self.domain, out)
-        if isinstance(other, SectionMatrix):
-            self._check_domain(other)
-            if self.cols != other.rows:
-                raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = StructureSection.zero(self.domain)
-                    for k in range(self.cols):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                out.append(row)
-            return SectionMatrix(self.domain, out)
-        return NotImplemented
+            return SectionVector.from_stalks(
+                self.domain, self.rows,
+                ([qlinalg.dot(r, v) for r in a] for a, v in zip(self.stalks, other.stalks)))
+        if not self.cols:  # a stalk with no rows does not know its width
+            return SectionMatrix.zeros(self.domain, self.rows, other.cols)
+        return SectionMatrix.from_stalks(self.domain, self.rows, other.cols,
+                                         map(qlinalg.mat_mul, self.stalks, other.stalks))
 
     def transpose(self) -> "SectionMatrix":
         """The transpose morphism: (ᵗA)_ij = A_ji, so ⟨ᵗA u, v⟩ = ⟨u, A v⟩."""
-        return SectionMatrix(self.domain, [[self.entries[i][j] for i in range(self.rows)]
-                                           for j in range(self.cols)])
+        return SectionMatrix.from_stalks(self.domain, self.cols, self.rows,
+                                         ([[r[j] for r in s] for j in range(self.cols)]
+                                          for s in self.stalks))
 
     def trace(self) -> StructureSection:
         if not self.is_square():
             raise NotSquare("trace of a non-square matrix")
-        acc = StructureSection.zero(self.domain)
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, SectionMatrix):
-            return NotImplemented
-        return (self.domain == other.domain and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.domain.mask, self.entries))
+        return StructureSection(self.domain, [sum(s[i][i] for i in range(self.rows))
+                                              for s in self.stalks])
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(any(r) for s in self.stalks for r in s)
 
     def __repr__(self):
         return "SectionMatrix(" + ", ".join(repr(list(r)) for r in self.entries) + ")"
-
-
-def mat_mul(a: SectionMatrix, b: SectionMatrix) -> SectionMatrix:
-    return a @ b
-
-
-def transpose_morphism(a: SectionMatrix) -> SectionMatrix:
-    return a.transpose()
 
 
 def determinant(a: SectionMatrix) -> StructureSection:
     """det(A), computed on the ℚ stalk at each point and glued into a section."""
     if not a.is_square():
         raise NotSquare(f"{a.rows}x{a.cols} matrix has no determinant")
-    return StructureSection.from_function(a.domain,
-                                          lambda p: qlinalg.det_bareiss(a.at_point(p)))
+    return StructureSection(a.domain, [qlinalg.det_bareiss(s) for s in a.stalks])
 
 
 def determinant_adjugate(a: SectionMatrix) -> tuple[StructureSection, SectionMatrix]:
-    """Determinant and adjugate with A·adj = adj·A = det·I exactly.
-
-    Both are computed on the ℚ stalk at each point and reassembled into
-    sections.
-    """
+    """Determinant and adjugate, each computed on the ℚ stalk at each point,
+    with A·adj = adj·A = det·I exactly."""
     det = determinant(a)
     n = a.rows
-    adj = SectionMatrix.from_point_data(
-        a.domain, n, n, lambda p: qlinalg.adjugate(a.at_point(p)) if n else [])
+    adj = SectionMatrix.from_stalks(a.domain, n, n,
+                                    (qlinalg.adjugate(s) if n else [] for s in a.stalks))
     return det, adj
 
 
@@ -286,15 +293,10 @@ def kronecker_product(a: SectionMatrix, b: SectionMatrix) -> SectionMatrix:
     """Block Kronecker product; realizes the tensor product on the product basis."""
     if a.domain != b.domain:
         raise DomainMismatch("Kronecker factors over different open sets")
-    out = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            row = []
-            for j in range(a.cols):
-                for l in range(b.cols):
-                    row.append(a[i, j] * b[k, l])
-            out.append(row)
-    return SectionMatrix(a.domain, out)
+    return SectionMatrix.from_stalks(
+        a.domain, a.rows * b.rows, a.cols * b.cols,
+        ([[x * y for x in ra for y in rb] for ra in sa for rb in sb]
+         for sa, sb in zip(a.stalks, b.stalks)))
 
 
 @dataclass(frozen=True)
@@ -316,11 +318,9 @@ def linear_independence(vectors: Sequence[SectionVector]) -> IndependenceReport:
         return IndependenceReport(True)
     domain = vectors[0].domain
     for v in vectors[1:]:
-        if v.domain != domain:
-            raise DomainMismatch("vectors over different open sets")
-    for p in domain.labels:
-        stacked = [[v.at_point(p)[i] for v in vectors] for i in range(len(vectors[0]))]
-        kernel = qlinalg.kernel_basis(stacked)
+        vectors[0]._check(v)
+    for p, *stalks in zip(domain.labels, *(v.stalks for v in vectors)):
+        kernel = qlinalg.kernel_basis(list(zip(*stalks)))  # the vectors as columns
         if kernel:
             return IndependenceReport(False, witness_point=p, relation=tuple(kernel[0]))
     return IndependenceReport(True)

@@ -312,12 +312,8 @@ def glue_sections(U: OpenSet, cover: Sequence[OpenSet],
                     f"sections disagree on {o}",
                     witness={"members": (cover[i].labels, cover[j].labels),
                              "overlap": o.labels, "left": left, "right": right})
-    def value_at(p: str) -> Fraction:
-        for V, s in zip(cover, parts):
-            if p in V:
-                return s.at(p)
-        raise AssertionError("cover validated above")
-    return StructureSection.from_function(U, value_at)
+    return StructureSection(U, [next(s.at(p) for V, s in zip(cover, parts) if p in V)
+                                for p in U.labels])
 
 
 def glue_vectors(U: OpenSet, cover: Sequence[OpenSet],

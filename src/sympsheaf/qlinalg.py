@@ -1,29 +1,31 @@
 """Exact linear algebra over ℚ on plain list-of-list matrices.
 
 These are the stalk-level kernels: every pointwise computation on section
-matrices (determinants, ranks, kernels, symplectic reduction) bottoms out
-here.  Matrices are lists of rows of Fractions and are never mutated.
+matrices (products, determinants, ranks, kernels, symplectic reduction)
+bottoms out here.  Matrices are sequences of rows of Fractions: the kernels
+accept list or tuple rows, return list rows and never mutate an argument.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-QMatrix = list  # list[list[Fraction]]
-
-
-def identity(n: int) -> QMatrix:
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
+QMatrix = list  # list[list[Fraction]]; tuple rows are accepted as input
 
 
 def copy(m: QMatrix) -> QMatrix:
-    return [row[:] for row in m]
+    """A copy with list rows, which the caller may write into."""
+    return [list(row) for row in m]
+
+
+def dot(u, v) -> Fraction:
+    return sum(map(mul, u, v), Fraction(0))
 
 
 def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
-             for j in range(cols)] for i in range(rows)]
+    columns = list(zip(*b))
+    return [[dot(row, col) for col in columns] for row in a]
 
 
 def transpose(a: QMatrix) -> QMatrix:
@@ -121,37 +123,28 @@ def symplectic_reduce(gram: QMatrix) -> tuple[int, QMatrix]:
     with everything and spans the kernel.
     """
     n = len(gram)
-    gens = [[Fraction(i == j) for j in range(n)] for i in range(n)]  # columns
-
-    def pairing(u, v) -> Fraction:
-        return sum((u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n)),
-                   Fraction(0))
-
+    # Each generator g is kept with G·g, so ω(u, g) = u·(G·g) is one dot
+    # product; G·e_j is the j-th column of G.
+    gens = [([Fraction(i == j) for j in range(n)], list(col)) for i, col in enumerate(zip(*gram))]
     s_vecs: list[list[Fraction]] = []
     t_vecs: list[list[Fraction]] = []
     while True:
-        found = None
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if pairing(gens[i], gens[j]) != 0:
-                    found = (i, j)
-                    break
-            if found:
-                break
+        found = next(((i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
+                      if dot(gens[i][0], gens[j][1]) != 0), None)
         if found is None:
             break
-        i, j = found
-        s = gens[i]
-        u = pairing(s, gens[j])
-        t = [x / u for x in gens[j]]
-        rest = [gens[k] for k in range(len(gens)) if k not in (i, j)]
-        projected = []
-        for z in rest:
-            zs, zt = pairing(z, s), pairing(z, t)
-            projected.append([z[k] + zs * t[k] - zt * s[k] for k in range(n)])
+        (s, gs), (t, gt) = gens[found[0]], gens[found[1]]
+        u = dot(s, gt)
+        t, gt = [x / u for x in t], [x / u for x in gt]
+
+        def split(z, gz):  # z + ω(z,s)·t − ω(z,t)·s, and its image under G
+            zs, zt = dot(z, gs), dot(z, gt)
+            return ([a + zs * b - zt * c for a, b, c in zip(z, t, s)],
+                    [a + zs * b - zt * c for a, b, c in zip(gz, gt, gs)])
+
+        gens = [split(*g) for k, g in enumerate(gens) if k not in found]
         s_vecs.append(s)
         t_vecs.append(t)
-        gens = projected
     m = len(s_vecs)
-    columns = s_vecs + t_vecs + gens
+    columns = s_vecs + t_vecs + [z for z, _ in gens]
     return m, [[columns[c][r] for c in range(n)] for r in range(n)]

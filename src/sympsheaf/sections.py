@@ -10,13 +10,21 @@ reduction needs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
-from .errors import DomainMismatch, NotASubset, NonUnitSection, UnknownPoint
+from .errors import DomainMismatch, NonUnitSection, UnknownPoint
 from .rings import Ring, rational_try_sqrt
 from .site import OpenSet
 
 Scalar = Union[int, Fraction]
+
+
+def exact(value) -> Fraction:
+    """The value as a Fraction; TypeError unless it is an int, a Fraction or a
+    "p/q" string, so that no float is silently stored as its binary expansion."""
+    if isinstance(value, (int, Fraction, str)):
+        return Fraction(value)
+    raise TypeError(f"not an exact rational: {value!r}")
 
 
 class StructureSection:
@@ -30,7 +38,7 @@ class StructureSection:
 
     def __init__(self, domain: OpenSet, values):
         object.__setattr__(self, "domain", domain)
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(v if type(v) is Fraction else exact(v) for v in values)
         if len(vals) != domain.size:
             raise ValueError(f"expected {domain.size} values on {domain}, got {len(vals)}")
         object.__setattr__(self, "values", vals)
@@ -58,18 +66,10 @@ class StructureSection:
     def one(cls, domain: OpenSet) -> "StructureSection":
         return cls.constant(domain, 1)
 
-    @classmethod
-    def from_function(cls, domain: OpenSet, fn: Callable[[str], Scalar]) -> "StructureSection":
-        return cls(domain, [fn(p) for p in domain.labels])
-
     # -- point access ---------------------------------------------------------
 
     def at(self, label: str) -> Fraction:
-        labels = self.domain.labels
-        try:
-            return self.values[labels.index(label)]
-        except ValueError:
-            raise UnknownPoint(f"point {label!r} not in {self.domain}") from None
+        return self.values[self.domain.position(label)]
 
     def as_mapping(self) -> dict[str, Fraction]:
         return dict(zip(self.domain.labels, self.values))
@@ -77,10 +77,8 @@ class StructureSection:
     # -- presheaf structure ----------------------------------------------------
 
     def restrict(self, V: OpenSet) -> "StructureSection":
-        if V.space != self.domain.space or not V.is_subset(self.domain):
-            raise NotASubset(f"{V} is not an open subset of {self.domain}")
-        labels = self.domain.labels
-        return StructureSection(V, [self.values[labels.index(p)] for p in V.labels])
+        values = self.values
+        return StructureSection(V, [values[k] for k in V.positions_in(self.domain)])
 
     # -- ring operations --------------------------------------------------------
 

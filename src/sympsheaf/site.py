@@ -8,6 +8,7 @@ opens explicitly, so validation transliterates the closure axioms directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -90,6 +91,20 @@ class OpenSet:
     def __contains__(self, label: str) -> bool:
         return bool(self.mask >> self.space.index(label) & 1)
 
+    def position(self, label: str) -> int:
+        """Where the point sits in `labels`; UnknownPoint when it is not in the set."""
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise UnknownPoint(f"point {label!r} not in {self}") from None
+
+    def positions_in(self, U: "OpenSet") -> tuple[int, ...]:
+        """Where the points of this set sit in `U.labels`: the index gather that
+        restricts data stored point by point over U to this set."""
+        if self.space != U.space or not self.is_subset(U):
+            raise NotASubset(f"{self} is not an open subset of {U}")
+        return _gather(U.mask, self.mask)
+
     def __iter__(self) -> Iterator[str]:
         return iter(self.labels)
 
@@ -104,6 +119,13 @@ class OpenSet:
 
     def __repr__(self):
         return "{" + ",".join(self.labels) + "}"
+
+
+@lru_cache(maxsize=4096)
+def _gather(mask: int, sub: int) -> tuple[int, ...]:
+    """Ranks, among the set bits of mask, of the set bits of sub ⊆ mask."""
+    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return tuple(rank for rank, i in enumerate(bits) if sub >> i & 1)
 
 
 def validate_topology(points: Sequence[str], opens: Iterable[Iterable[str]]) -> FiniteSpace:

@@ -45,15 +45,7 @@ from .site import OpenSet
 
 def standard_J(domain: OpenSet, m: int) -> SectionMatrix:
     """The 2m×2m matrix [[0, I_m], [−I_m, 0]] of the standard form."""
-    rows = []
-    for i in range(2 * m):
-        row = [0] * (2 * m)
-        if i < m:
-            row[m + i] = 1
-        else:
-            row[i - m] = -1
-        rows.append(row)
-    return SectionMatrix(domain, rows)
+    return block_normal_form(domain, m, 2 * m)
 
 
 def block_normal_form(domain: OpenSet, m: int, n: int) -> SectionMatrix:
@@ -109,9 +101,9 @@ def check_form(omega: SectionMatrix) -> FormReport:
     """
     if not omega.is_square():
         raise NotSquare(f"{omega.rows}x{omega.cols} form matrix")
-    skew = omega.transpose() == -omega and all(
-        omega[i, i].is_zero() for i in range(omega.rows))
-    ranks = {p: qlinalg.rank(omega.at_point(p)) for p in omega.domain.labels}
+    skew = omega.transpose() == -omega and not any(
+        s[i][i] for s in omega.stalks for i in range(omega.rows))
+    ranks = dict(zip(omega.domain.labels, map(qlinalg.rank, omega.stalks)))
     nondeg = skew and all(r == omega.rows for r in ranks.values())
     return FormReport(skew=skew, ranks=ranks, nondegenerate=nondeg)
 
@@ -193,11 +185,10 @@ def _stalkwise_reduce(omega: SectionMatrix) -> tuple[int, SectionMatrix]:
     there is no stalk and every section equation holds vacuously; m is then
     taken to be ⌊n/2⌋.
     """
-    reduced = {p: qlinalg.symplectic_reduce(omega.at_point(p)) for p in omega.domain.labels}
-    m = next((m_p for m_p, _ in reduced.values()), omega.rows // 2)
-    P = SectionMatrix.from_point_data(omega.domain, omega.rows, omega.rows,
-                                      lambda p: reduced[p][1])
-    return m, P
+    reduced = [qlinalg.symplectic_reduce(s) for s in omega.stalks]
+    m = reduced[0][0] if reduced else omega.rows // 2
+    return m, SectionMatrix.from_stalks(omega.domain, omega.rows, omega.rows,
+                                        (C for _, C in reduced))
 
 
 def standard_sum_decomposition(basis: DarbouxBasis) -> KForm:
@@ -269,17 +260,8 @@ def symplectic_transvection(domain: OpenSet, m: int, v: SectionVector,
     n = 2 * m
     if len(v) != n:
         raise DimensionMismatch(f"transvection vector length {len(v)} vs rank {n}")
-    vJ = [(SectionVector(domain, [J[k, j] for k in range(n)]).pairing(v))
-          for j in range(n)]
-    c = StructureSection.constant(domain, c) if not isinstance(c, StructureSection) else c
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = StructureSection.constant(domain, 1 if i == j else 0)
-            row.append(e - c * v[i] * vJ[j])
-        rows.append(row)
-    return SectionMatrix(domain, rows)
+    V = SectionMatrix.from_columns([v])
+    return SectionMatrix.identity(domain, n) - (V @ (J.transpose() @ V).transpose()).scale(c)
 
 
 def random_symplectic(domain: OpenSet, m: int, rng: random.Random,

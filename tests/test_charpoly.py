@@ -124,7 +124,7 @@ def test_cayley_hamilton_shear():
     m = SectionMatrix(PT, [[1, 1], [0, 1]])
     p = char_poly(m)
     assert [c.values[0] for c in p.coeffs] == [1, -2, 1]  # (t−1)²
-    assert cayley_hamilton_check(m).is_zero()
+    assert cayley_hamilton_check(m, char_poly(m)).is_zero()
 
 
 def test_cayley_hamilton_section_diagonal():
@@ -132,14 +132,14 @@ def test_cayley_hamilton_section_diagonal():
     f = StructureSection.from_mapping(sp.whole, {"a": 2, "b": 5})
     g = StructureSection.from_mapping(sp.whole, {"a": -1, "b": F(1, 3)})
     m = SectionMatrix(sp.whole, [[f, 0], [0, g]])
-    assert cayley_hamilton_check(m).is_zero()
+    assert cayley_hamilton_check(m, char_poly(m)).is_zero()
 
 
 def test_cayley_hamilton_random_5x5():
     rng = random.Random(3)
     for _ in range(20):
         m = rand_matrix(rng, PT, 5, 5)
-        assert cayley_hamilton_check(m).is_zero()
+        assert cayley_hamilton_check(m, char_poly(m)).is_zero()
 
 
 def test_cayley_hamilton_inverse_matches_adjugate_route():
@@ -334,3 +334,39 @@ def test_section_valued_symplectic_reciprocity():
     m = random_symplectic(sp.whole, 1, rng, section_valued=True)
     report = reciprocal_spectrum_check(m, standard_J(sp.whole, 1))
     assert report.palindromic and report.spectrum_closed
+
+
+def counting_qq_charpoly(monkeypatch):
+    from sympsheaf import charpoly
+
+    calls = []
+    inner = charpoly.qq_charpoly
+
+    def counted(mat):
+        calls.append(1)
+        return inner(mat)
+
+    monkeypatch.setattr(charpoly, "qq_charpoly", counted)
+    return calls
+
+
+def test_cli_charpoly_computes_each_stalk_polynomial_once(monkeypatch):
+    import io
+    from contextlib import redirect_stdout
+    from pathlib import Path
+
+    from sympsheaf.cli import main
+
+    calls = counting_qq_charpoly(monkeypatch)
+    rot = Path(__file__).parent / "data" / "rot.json"  # one point
+    with redirect_stdout(io.StringIO()):
+        assert main(["charpoly", "--input", str(rot), "--output", "json"]) == 0
+    assert len(calls) == 1
+
+
+def test_reciprocity_computes_each_stalk_polynomial_once(monkeypatch):
+    U = discrete(["a", "b", "c"]).whole
+    m = random_symplectic(U, 2, random.Random(9), section_valued=True)
+    calls = counting_qq_charpoly(monkeypatch)
+    assert reciprocal_spectrum_check(m).palindromic
+    assert len(calls) == U.size

@@ -20,6 +20,7 @@ CASES = [
     ("darboux", "form_J", 0),
     ("darboux", "form_degenerate", 1),
     ("darboux", "malformed", 2),
+    ("darboux", "unknown_point", 2),
     ("normal-form", "form_rank2", 0),
     ("normal-form", "form_nonconstant_rank", 1),
     ("normal-form", "malformed", 2),
@@ -30,12 +31,14 @@ CASES = [
     ("charpoly", "rect", 1),
     ("charpoly", "malformed", 2),
     ("charpoly", "zero_denominator", 2),
+    ("charpoly", "ragged_rows", 2),
     ("eigen", "eigen_sections", 0),
     ("eigen", "rect", 1),
     ("eigen", "malformed", 2),
     ("sheaf-check", "sheaf_functions", 0),
     ("sheaf-check", "constant_presheaf", 1),
     ("sheaf-check", "malformed", 2),
+    ("sheaf-check", "bad_topology", 2),
     ("wedge", "wedge_basic", 0),
     ("wedge", "wedge_mismatch", 1),
     ("wedge", "malformed", 2),

@@ -15,6 +15,7 @@ from sympsheaf import (
     linear_independence,
     point_space,
     sierpinski,
+    standard_J,
     try_inverse_matrix,
 )
 from sympsheaf.errors import DimensionMismatch, DomainMismatch, NonUnitDeterminant, NotSquare
@@ -230,3 +231,59 @@ def test_vector_restrict_and_scale():
     s = rand_section(rng, sp.whole)
     V = sp.open_set(["a"])
     assert v.scale(s).restrict(V) == v.restrict(V).scale(s.restrict(V))
+
+
+# -- the stalk representation ------------------------------------------------------
+
+
+def test_empty_domain_keeps_shapes():
+    empty = sierpinski().empty
+    J = standard_J(empty, 2)
+    assert (J.rows, J.cols) == (4, 4) and J.stalks == ()
+    prod = SectionMatrix.zeros(empty, 2, 3) @ SectionMatrix.zeros(empty, 3, 1)
+    assert (prod.rows, prod.cols) == (2, 1)
+    assert SectionMatrix.identity(empty, 2) != SectionMatrix.identity(empty, 3)
+    v = SectionMatrix.identity(empty, 3) @ SectionVector(empty, [0, 0, 0])
+    assert len(v) == 3 and len(list(v)) == 3
+    with pytest.raises(IndexError):
+        J[4, 0]
+
+
+def test_round_trips_through_entries_and_point_data():
+    rng = random.Random(10)
+    U = sierpinski().whole
+    for rows, cols in ((1, 1), (2, 3), (3, 2), (4, 4)):
+        m = rand_matrix(rng, U, rows, cols)
+        assert SectionMatrix(U, m.entries) == m
+        assert SectionMatrix.from_point_data(U, rows, cols, m.at_point) == m
+        v = rand_vector(rng, U, rows)
+        assert SectionVector(U, v.entries) == v
+
+
+def test_equal_matrices_hash_equal_across_constructors():
+    U = sierpinski().whole
+    f = StructureSection.from_mapping(U, {"a": 1, "b": F(1, 2)})
+    from_entries = SectionMatrix(U, [[f, 0], [2, "3/4"]])
+    from_stalks = SectionMatrix.from_stalks(
+        U, 2, 2, [[[F(1), F(0)], [F(2), F(3, 4)]], [[F(1, 2), F(0)], [F(2), F(3, 4)]]])
+    assert from_entries == from_stalks and hash(from_entries) == hash(from_stalks)
+    assert len({from_entries, from_stalks, from_entries.transpose().transpose()}) == 1
+
+
+def test_at_point_returns_a_fresh_copy():
+    U = sierpinski().whole
+    m = SectionMatrix(U, [[1, 2], [3, 4]])
+    stalk = m.at_point("a")
+    stalk[0][0] = F(99)
+    stalk.append([F(0), F(0)])
+    v = m.column(0)
+    v.at_point("b")[0] = F(99)
+    assert m == SectionMatrix(U, [[1, 2], [3, 4]]) and v == SectionVector(U, [1, 3])
+
+
+def test_section_matrix_rejects_inexact_entries():
+    with pytest.raises(TypeError):
+        SectionMatrix(PT, [[0.5]])
+    with pytest.raises(TypeError):
+        SectionVector(PT, [1, 0.25])
+    assert SectionMatrix(PT, [["1/2"]]) == SectionMatrix(PT, [[F(1, 2)]])

@@ -127,3 +127,12 @@ def test_section_ring_axioms_sampled():
         assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))
         assert ring.mul(a, b) == ring.mul(b, a)
         assert ring.add(a, ring.neg(a)) == ring.zero
+
+
+def test_constructor_rejects_inexact_values():
+    U = sierpinski().open_set(["a"])
+    for bad in (0.1, 1.5, complex(1, 0), None):
+        with pytest.raises(TypeError):
+            StructureSection(U, [bad])
+    assert StructureSection(U, ["1/3"]) == F(1, 3)
+    assert StructureSection(U, [F(2, 4)]).values == (F(1, 2),)
