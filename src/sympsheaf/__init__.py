@@ -46,9 +46,8 @@ from .presheaf import (
     FunctionPresheaf,
     GermSampledPresheaf,
     check_completeness,
-    glue_matrices,
     glue_sections,
-    glue_vectors,
+    glue_stalkwise,
     sample_grid,
     sheafify_sections,
     stalk_at,

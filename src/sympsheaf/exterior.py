@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Mapping, Sequence, Union
 
+from . import qlinalg
 from .errors import (
     ArityMismatch,
     DegenerateMetric,
@@ -29,13 +30,15 @@ from .errors import (
     DomainMismatch,
     NonUnitDeterminant,
 )
-from .modules import SectionMatrix, SectionVector, determinant
+from .modules import SectionMatrix, SectionVector, _Stalkwise, determinant
 from .sections import Scalar, StructureSection, as_section
 from .site import OpenSet
 
 Entry = Union[Scalar, StructureSection]
+Stalk = tuple[tuple[tuple[int, ...], Fraction], ...]
 
 ALTERNATION_ORDER_CAP = 8
+ZERO = Fraction(0)
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -47,32 +50,91 @@ def perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-class CovariantTensor:
+class _Multilinear(_Stalkwise):
+    """Coefficients on multi-indices of `arity` basis indices below `rank`.
+
+    Since Ωᵏ(A(U)ⁿ) = ∏_{x∈U} Ωᵏ(ℚⁿ), they are stored as one sparse ℚ map per
+    point of `domain.labels`: `stalks[k]` is a tuple of (multi-index,
+    Fraction) pairs in index order with the zeros dropped, so equal objects
+    have equal stalks.  StructureSection coefficients are built only when read.
+    """
+
+    __slots__ = ("domain", "rank", "arity", "stalks")
+
+    def __init__(self, domain: OpenSet, rank: int, arity: int,
+                 coeffs: Mapping[tuple[int, ...], Entry]):
+        grid = {}
+        for idx, c in coeffs.items():
+            idx = tuple(idx)
+            self._check_index(idx, rank, arity)
+            grid[idx] = as_section(domain, c).values
+        support = sorted(grid)
+        self._freeze(domain=domain, rank=rank, arity=arity,
+                     stalks=tuple(tuple((i, grid[i][k]) for i in support if grid[i][k])
+                                  for k in range(domain.size)))
+
+    def _check_index(self, idx: tuple[int, ...], rank: int, arity: int) -> None:
+        if len(idx) != arity or any(not 0 <= i < rank for i in idx):
+            raise IndexError(f"bad multi-index {idx} for arity {arity}, rank {rank}")
+
+    @classmethod
+    def from_stalks(cls, domain: OpenSet, rank: int, arity: int,
+                    stalks: Iterable[Mapping[tuple[int, ...], Fraction]]):
+        """The object whose coefficients at the k-th point of domain.labels are
+        the k-th stalk: a map (or pairs) from valid multi-indices to exact
+        rationals.  Zero coefficients are dropped."""
+        stalks = tuple(tuple(sorted((i, c) for i, c in dict(s).items() if c)) for s in stalks)
+        if len(stalks) != domain.size:
+            raise DimensionMismatch(f"expected {domain.size} stalks")
+        return object.__new__(cls)._freeze(domain=domain, rank=rank, arity=arity, stalks=stalks)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rank, self.arity)
+
+    @staticmethod
+    def _entrywise(op, *stalks) -> dict:
+        maps = [dict(s) for s in stalks]
+        return {i: op(*(m.get(i, ZERO) for m in maps)) for i in set().union(*maps)}
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], StructureSection]:
+        """The coefficients that are nonzero somewhere, as sections, in index order."""
+        maps = [dict(s) for s in self.stalks]
+        return {i: StructureSection(self.domain, [m.get(i, ZERO) for m in maps])
+                for i in sorted(set().union(*maps))}
+
+    def coefficient(self, idx: Iterable[int]) -> StructureSection:
+        idx = tuple(idx)
+        return StructureSection(self.domain, [dict(s).get(idx, ZERO) for s in self.stalks])
+
+    def is_zero(self) -> bool:
+        return not any(self.stalks)
+
+    def _with_args(self, args: Sequence[SectionVector]):
+        """Per point, the coefficient stalk followed by the stalks of the arguments."""
+        if len(args) != self.arity:
+            raise ArityMismatch(f"arity {self.arity} applied to {len(args)} arguments")
+        for v in args:
+            if v.domain != self.domain:
+                raise DomainMismatch("argument over a different open set")
+            if len(v) != self.rank:
+                raise DimensionMismatch(f"argument length {len(v)} vs rank {self.rank}")
+        return zip(self.stalks, *(v.stalks for v in args))
+
+
+class CovariantTensor(_Multilinear):
     """A covariant order-k tensor on A(U)^n, as a sparse coefficient array.
 
     Coefficients are indexed by arbitrary k-tuples of basis indices;
     evaluation is multilinear in each slot.
     """
 
-    __slots__ = ("domain", "rank", "order", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, domain: OpenSet, rank: int, order: int,
-                 coeffs: Mapping[tuple[int, ...], Entry]):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "order", order)
-        clean = {}
-        for idx, c in coeffs.items():
-            idx = tuple(idx)
-            if len(idx) != order or any(not 0 <= i < rank for i in idx):
-                raise IndexError(f"bad multi-index {idx} for order {order}, rank {rank}")
-            s = as_section(domain, c)
-            if not s.is_zero():
-                clean[idx] = s
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CovariantTensor is immutable")
+    @property
+    def order(self) -> int:
+        return self.arity
 
     @classmethod
     def basis_dual(cls, domain: OpenSet, rank: int, i: int) -> "CovariantTensor":
@@ -80,53 +142,9 @@ class CovariantTensor:
         return cls(domain, rank, 1, {(i,): 1})
 
     def evaluate(self, args: Sequence[SectionVector]) -> StructureSection:
-        if len(args) != self.order:
-            raise ArityMismatch(f"order {self.order} tensor applied to {len(args)} arguments")
-        for v in args:
-            if v.domain != self.domain:
-                raise DomainMismatch("argument over a different open set")
-            if len(v) != self.rank:
-                raise DimensionMismatch(f"argument length {len(v)} vs rank {self.rank}")
-        acc = StructureSection.zero(self.domain)
-        for idx, c in self.coeffs.items():
-            term = c
-            for j, i in enumerate(idx):
-                term = term * args[j][i]
-            acc = acc + term
-        return acc
-
-    def __add__(self, other: "CovariantTensor") -> "CovariantTensor":
-        self._check(other)
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = out.get(idx, StructureSection.zero(self.domain)) + c
-        return CovariantTensor(self.domain, self.rank, self.order, out)
-
-    def __neg__(self):
-        return CovariantTensor(self.domain, self.rank, self.order,
-                               {i: -c for i, c in self.coeffs.items()})
-
-    def scale(self, a: Entry) -> "CovariantTensor":
-        a = as_section(self.domain, a)
-        return CovariantTensor(self.domain, self.rank, self.order,
-                               {i: a * c for i, c in self.coeffs.items()})
-
-    def _check(self, other):
-        if not (self.domain == other.domain and self.rank == other.rank
-                and self.order == other.order):
-            raise DomainMismatch("tensors of different shape")
-
-    def __eq__(self, other):
-        if not isinstance(other, CovariantTensor):
-            return NotImplemented
-        return (self.domain == other.domain and self.rank == other.rank
-                and self.order == other.order and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.domain.mask, self.rank, self.order, tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return StructureSection(self.domain, [
+            sum((c * prod(v[i] for v, i in zip(vs, idx)) for idx, c in stalk), ZERO)
+            for stalk, *vs in self._with_args(args)])
 
     def __repr__(self):
         return f"CovariantTensor(order={self.order}, coeffs={self.coeffs})"
@@ -137,11 +155,9 @@ def tensor_product(t1: CovariantTensor, t2: CovariantTensor) -> CovariantTensor:
     separate evaluations.  Order-0 tensors act as scalars."""
     if t1.domain != t2.domain or t1.rank != t2.rank:
         raise DomainMismatch("tensor factors of different shape")
-    out = {}
-    for i1, c1 in t1.coeffs.items():
-        for i2, c2 in t2.coeffs.items():
-            out[i1 + i2] = c1 * c2
-    return CovariantTensor(t1.domain, t1.rank, t1.order + t2.order, out)
+    return CovariantTensor.from_stalks(
+        t1.domain, t1.rank, t1.order + t2.order,
+        ({i1 + i2: x * y for i1, x in a for i2, y in b} for a, b in zip(t1.stalks, t2.stalks)))
 
 
 def alternation(t: CovariantTensor) -> CovariantTensor:
@@ -151,18 +167,21 @@ def alternation(t: CovariantTensor) -> CovariantTensor:
         raise DegreeTooLarge(f"alternation of order {k} exceeds the factorial guard")
     if k <= 1:
         return t
-    inv_kfact = Fraction(1, factorial(k))
-    out: dict[tuple[int, ...], StructureSection] = {}
-    zero = StructureSection.zero(t.domain)
-    for idx, c in t.coeffs.items():
-        for sigma in permutations(range(k)):
-            target = tuple(idx[s] for s in sigma)
-            contrib = c * (perm_sign(sigma) * inv_kfact)
-            out[target] = out.get(target, zero) + contrib
-    return CovariantTensor(t.domain, t.rank, k, out)
+    weights = [(sigma, Fraction(perm_sign(sigma), factorial(k)))
+               for sigma in permutations(range(k))]
+
+    def alternate(stalk: Stalk) -> dict:
+        out = {}
+        for idx, c in stalk:
+            for sigma, w in weights:
+                target = tuple(idx[s] for s in sigma)
+                out[target] = out.get(target, ZERO) + c * w
+        return out
+
+    return CovariantTensor.from_stalks(t.domain, t.rank, k, map(alternate, t.stalks))
 
 
-class KForm:
+class KForm(_Multilinear):
     """A degree-k exterior form, coefficients on strictly increasing indices.
 
     Degree 0 is a plain section; degree 1 a dual vector.  Skew-symmetry is
@@ -170,27 +189,16 @@ class KForm:
     every minor.
     """
 
-    __slots__ = ("domain", "rank", "degree", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, domain: OpenSet, rank: int, degree: int,
-                 coeffs: Mapping[tuple[int, ...], Entry]):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "degree", degree)
-        clean = {}
-        for idx, c in coeffs.items():
-            idx = tuple(idx)
-            if len(idx) != degree or any(not 0 <= i < rank for i in idx):
-                raise IndexError(f"bad multi-index {idx} for degree {degree}, rank {rank}")
-            if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-                raise IndexError(f"multi-index {idx} is not strictly increasing")
-            s = as_section(domain, c)
-            if not s.is_zero():
-                clean[idx] = s
-        object.__setattr__(self, "coeffs", clean)
+    def _check_index(self, idx: tuple[int, ...], rank: int, degree: int) -> None:
+        super()._check_index(idx, rank, degree)
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise IndexError(f"multi-index {idx} is not strictly increasing")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("KForm is immutable")
+    @property
+    def degree(self) -> int:
+        return self.arity
 
     # -- constructors ----------------------------------------------------------
 
@@ -212,75 +220,20 @@ class KForm:
         idx = tuple(indices)
         return cls(domain, rank, len(idx), {idx: 1})
 
-    @classmethod
-    def from_alternating_tensor(cls, t: CovariantTensor) -> "KForm":
-        out = {}
-        for idx, c in t.coeffs.items():
-            if all(idx[i] < idx[i + 1] for i in range(len(idx) - 1)):
-                out[idx] = c
-        return cls(t.domain, t.rank, t.order, out)
-
-    def to_tensor(self) -> CovariantTensor:
-        out = {}
-        for idx, c in self.coeffs.items():
-            for sigma in permutations(range(len(idx))):
-                out[tuple(idx[s] for s in sigma)] = c * perm_sign(sigma)
-        return CovariantTensor(self.domain, self.rank, self.degree, out)
-
     # -- algebra ------------------------------------------------------------------
-
-    def coefficient(self, idx: Iterable[int]) -> StructureSection:
-        return self.coeffs.get(tuple(idx), StructureSection.zero(self.domain))
-
-    def __add__(self, other: "KForm") -> "KForm":
-        self._check(other)
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = out.get(idx, StructureSection.zero(self.domain)) + c
-        return KForm(self.domain, self.rank, self.degree, out)
-
-    def __neg__(self) -> "KForm":
-        return KForm(self.domain, self.rank, self.degree,
-                     {i: -c for i, c in self.coeffs.items()})
-
-    def __sub__(self, other: "KForm") -> "KForm":
-        return self + (-other)
-
-    def scale(self, a: Entry) -> "KForm":
-        a = as_section(self.domain, a)
-        return KForm(self.domain, self.rank, self.degree,
-                     {i: a * c for i, c in self.coeffs.items()})
 
     def __xor__(self, other: "KForm") -> "KForm":
         return wedge(self, other)
-
-    def _check(self, other):
-        if not (self.domain == other.domain and self.rank == other.rank):
-            raise DomainMismatch("forms on different modules")
-        if self.degree != other.degree:
-            raise DimensionMismatch(f"degrees {self.degree} vs {other.degree}")
-
-    def __eq__(self, other):
-        if not isinstance(other, KForm):
-            return NotImplemented
-        return (self.domain == other.domain and self.rank == other.rank
-                and self.degree == other.degree and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.domain.mask, self.rank, self.degree,
-                     tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def evaluate(self, args: Sequence[SectionVector]) -> StructureSection:
         return evaluate_form(self, args)
 
     def __repr__(self):
-        if self.is_zero():
+        coeffs = self.coeffs
+        if not coeffs:
             return f"KForm(degree={self.degree}, 0)"
         body = " + ".join(f"({c})·e{'∧e'.join(str(i + 1) for i in idx)}*"
-                          for idx, c in sorted(self.coeffs.items()))
+                          for idx, c in coeffs.items())
         return f"KForm({body})"
 
 
@@ -296,43 +249,32 @@ def wedge(xi: KForm, eta: KForm) -> KForm:
     an error."""
     if xi.domain != eta.domain or xi.rank != eta.rank:
         raise DomainMismatch("wedge factors on different modules")
-    degree = xi.degree + eta.degree
-    out: dict[tuple[int, ...], StructureSection] = {}
-    zero = StructureSection.zero(xi.domain)
-    for left, a in xi.coeffs.items():
-        left_set = set(left)
-        for right, b in eta.coeffs.items():
-            if left_set & set(right):
-                continue
-            merged = tuple(sorted(left + right))
-            contrib = (a * b) * _shuffle_sign(left, right)
-            out[merged] = out.get(merged, zero) + contrib
-    return KForm(xi.domain, xi.rank, degree, out)
+
+    def product(a: Stalk, b: Stalk) -> dict:
+        out = {}
+        for left, x in a:
+            for right, y in b:
+                if not set(left).isdisjoint(right):
+                    continue
+                merged = tuple(sorted(left + right))
+                term = x * y if _shuffle_sign(left, right) > 0 else -(x * y)
+                out[merged] = out.get(merged, ZERO) + term
+        return out
+
+    return KForm.from_stalks(xi.domain, xi.rank, xi.degree + eta.degree,
+                             map(product, xi.stalks, eta.stalks))
 
 
 def evaluate_form(form: KForm, args: Sequence[SectionVector]) -> StructureSection:
-    """Evaluate on section vectors via the alternating permutation sum.
+    """Evaluate on section vectors: at each point, Σ_I c_I·det of the k×k
+    minor of the arguments on the columns I.
 
     For a wedge of one-forms this is exactly det[αᵢ(sⱼ)].
     """
-    if len(args) != form.degree:
-        raise ArityMismatch(f"degree {form.degree} form applied to {len(args)} arguments")
-    for v in args:
-        if v.domain != form.domain:
-            raise DomainMismatch("argument over a different open set")
-        if len(v) != form.rank:
-            raise DimensionMismatch(f"argument length {len(v)} vs rank {form.rank}")
-    acc = StructureSection.zero(form.domain)
-    k = form.degree
-    for idx, c in form.coeffs.items():
-        minor = StructureSection.zero(form.domain)
-        for sigma in permutations(range(k)):
-            term = StructureSection.constant(form.domain, perm_sign(sigma))
-            for j in range(k):
-                term = term * args[j][idx[sigma[j]]]
-            minor = minor + term
-        acc = acc + c * minor
-    return acc
+    return StructureSection(form.domain, [
+        sum((c * qlinalg.det_bareiss([[v[i] for i in idx] for v in vs]) for idx, c in stalk),
+            ZERO)
+        for stalk, *vs in form._with_args(args)])
 
 
 def volume_element(metric: SectionMatrix, basis: Sequence[SectionVector]) -> KForm:
@@ -358,9 +300,10 @@ def volume_element(metric: SectionMatrix, basis: Sequence[SectionVector]) -> KFo
     if not det_g.is_unit():
         raise DegenerateMetric("metric Gram determinant vanishes",
                                points=det_g.zero_points())
-    scale = abs(det_g).try_sqrt()
+    root = abs(det_g).try_sqrt()
     top = tuple(range(n))
-    return KForm(metric.domain, n, n, {top: scale * det_s.inverse()})
+    return KForm.from_stalks(metric.domain, n, n,
+                             ({top: r / d} for r, d in zip(root.values, det_s.values)))
 
 
 def form_power(omega: KForm, m: int) -> KForm:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .errors import MalformedInput, TopologyError, UnknownPoint
+from .errors import MalformedInput, NotAnOpen, TopologyError, UnknownPoint
 from .exterior import KForm
 from .modules import SectionMatrix, SectionVector
 from .rings import Polynomial
@@ -50,6 +50,13 @@ def space_from_json(obj: dict) -> FiniteSpace:
         raise MalformedInput(f"space.opens: {exc}") from None
 
 
+def open_from_json(space: FiniteSpace, labels: Any, field: str) -> OpenSet:
+    try:
+        return space.open_set(labels)
+    except (NotAnOpen, UnknownPoint) as exc:
+        raise MalformedInput(f"{field}: {exc}") from None
+
+
 def section_to_json(s: StructureSection) -> dict:
     return {"open": list(s.domain.labels),
             "values": {p: fraction_to_json(v) for p, v in zip(s.domain.labels, s.values)}}
@@ -57,7 +64,7 @@ def section_to_json(s: StructureSection) -> dict:
 
 def section_from_json(domain: OpenSet, obj: Any, field: str) -> StructureSection:
     if isinstance(obj, dict) and "values" in obj:
-        declared = domain.space.open_set(obj.get("open", domain.labels))
+        declared = open_from_json(domain.space, obj.get("open", domain.labels), f"{field}.open")
         if declared != domain:
             raise ValueError(f"section declared over {declared}, expected {domain}")
         values = obj["values"]
@@ -100,10 +107,8 @@ def vector_from_json(domain: OpenSet, obj: Sequence) -> SectionVector:
 
 
 def kform_to_json(f: KForm) -> dict:
-    coeffs = {}
-    for idx in sorted(f.coeffs):
-        key = "[" + ",".join(str(i + 1) for i in idx) + "]"
-        coeffs[key] = entry_to_json(f.coeffs[idx])
+    coeffs = {"[" + ",".join(str(i + 1) for i in idx) + "]": entry_to_json(c)
+              for idx, c in f.coeffs.items()}  # in index order
     return {"degree": f.degree, "rank": f.rank, "coeffs": coeffs}
 
 

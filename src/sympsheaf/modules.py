@@ -27,11 +27,15 @@ ZERO, ONE = Fraction(0), Fraction(1)
 
 
 class _Stalkwise:
-    """Storage and entrywise arithmetic shared by section vectors and matrices.
+    """Storage and entrywise arithmetic shared by section vectors, matrices,
+    k-forms and covariant tensors.
 
     `stalks` holds the value at each point of `domain.labels`, in that order:
-    a tuple of Fractions for a vector, a tuple of such rows for a matrix.
-    The shape is stored apart, since U = ∅ has no stalk.
+    a tuple of Fractions for a vector, a tuple of such rows for a matrix, a
+    sorted tuple of (multi-index, Fraction) pairs for a form or tensor.  The
+    shape is stored apart, since U = ∅ has no stalk.  Subclasses supply
+    `shape`, `from_stalks` and `_entrywise(op, *stalks)`, which applies op
+    entry by entry to stalks of one shape.
     """
 
     __slots__ = ()
@@ -52,6 +56,8 @@ class _Stalkwise:
         return self._like([stalks[k] for k in V.positions_in(self.domain)], V)
 
     def _check(self, other):
+        if type(other) is not type(self):  # a form and a tensor can share a shape
+            raise TypeError(f"{type(self).__name__} combined with {type(other).__name__}")
         if other.domain != self.domain:
             raise DomainMismatch(f"{type(self).__name__}s over different open sets")
         if other.shape != self.shape:

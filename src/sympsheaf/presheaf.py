@@ -21,7 +21,7 @@ from itertools import product
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import IncompatibleFamily, NonEnumerableSections, NotAnOpenCover
-from .modules import SectionMatrix, SectionVector
+from .modules import _Stalkwise
 from .sections import StructureSection
 from .site import FiniteSpace, OpenSet, is_open_cover, minimal_cover, minimal_open_neighborhood
 
@@ -292,12 +292,11 @@ def stalk_at(presheaf: Presheaf, label: str) -> list:
 # -- gluing utilities ----------------------------------------------------------
 
 
-def glue_sections(U: OpenSet, cover: Sequence[OpenSet],
-                  parts: Sequence[StructureSection]) -> StructureSection:
-    """Glue a compatible family of structure sections over a cover of U.
-
-    Raises IncompatibleFamily with the first disagreeing overlap.
-    """
+def _glue_positions(U: OpenSet, cover: Sequence[OpenSet],
+                    parts: Sequence) -> list[tuple[int, int]]:
+    """Check that the family agrees on every nonempty overlap, and return for
+    each point of U the first member containing it and the point's position
+    there.  Raises IncompatibleFamily with the first disagreeing overlap."""
     cover = list(cover)
     if not is_open_cover(U, cover):
         raise NotAnOpenCover(f"family does not cover {U}")
@@ -312,19 +311,19 @@ def glue_sections(U: OpenSet, cover: Sequence[OpenSet],
                     f"sections disagree on {o}",
                     witness={"members": (cover[i].labels, cover[j].labels),
                              "overlap": o.labels, "left": left, "right": right})
-    return StructureSection(U, [next(s.at(p) for V, s in zip(cover, parts) if p in V)
-                                for p in U.labels])
+    return [next((k, parts[k].domain.position(p)) for k, V in enumerate(cover) if p in V)
+            for p in U.labels]
 
 
-def glue_vectors(U: OpenSet, cover: Sequence[OpenSet],
-                 parts: Sequence[SectionVector]) -> SectionVector:
-    n = len(parts[0])
-    entries = [glue_sections(U, cover, [v[i] for v in parts]) for i in range(n)]
-    return SectionVector(U, entries)
+def glue_sections(U: OpenSet, cover: Sequence[OpenSet],
+                  parts: Sequence[StructureSection]) -> StructureSection:
+    """Glue a compatible family of structure sections over a cover of U."""
+    return StructureSection(U, [parts[k].values[i] for k, i in _glue_positions(U, cover, parts)])
 
 
-def glue_matrices(U: OpenSet, cover: Sequence[OpenSet],
-                  parts: Sequence[SectionMatrix]) -> SectionMatrix:
-    rows, cols = parts[0].rows, parts[0].cols
-    return SectionMatrix(U, [[glue_sections(U, cover, [m[i, j] for m in parts])
-                              for j in range(cols)] for i in range(rows)])
+def glue_stalkwise(U: OpenSet, cover: Sequence[OpenSet], parts: Sequence[_Stalkwise]):
+    """Glue a compatible family of section vectors, matrices or k-forms of one
+    shape over a cover of U, taking each point's stalk from the first member
+    that contains it."""
+    stalks = [parts[k].stalks[i] for k, i in _glue_positions(U, cover, parts)]
+    return parts[0].from_stalks(U, *parts[0].shape, stalks)

@@ -34,7 +34,7 @@ from .errors import (
     NotSquare,
     NotSymplectic,
 )
-from .exterior import KForm, form_power, wedge
+from .exterior import KForm, form_power
 from .modules import SectionMatrix, SectionVector, determinant, try_inverse_matrix
 from .sections import StructureSection
 from .site import OpenSet
@@ -66,8 +66,9 @@ def gram_two_form(omega: SectionMatrix) -> KForm:
     if not omega.is_square():
         raise NotSquare("Gram matrix must be square")
     n = omega.rows
-    return KForm(omega.domain, n, 2,
-                 {(i, j): omega[i, j] for i in range(n) for j in range(i + 1, n)})
+    return KForm.from_stalks(omega.domain, n, 2, ({(i, j): s[i][j] for i in range(n)
+                                                   for j in range(i + 1, n)}
+                                                  for s in omega.stalks))
 
 
 def standard_two_form(domain: OpenSet, m: int) -> KForm:
@@ -193,17 +194,14 @@ def _stalkwise_reduce(omega: SectionMatrix) -> tuple[int, SectionMatrix]:
 
 def standard_sum_decomposition(basis: DarbouxBasis) -> KForm:
     """Σ_i sᵢ*∧tᵢ* for the dual basis of a Darboux basis; evaluates to the
-    original Gram form."""
+    original Gram form.
+
+    The dual basis is the rows of P⁻¹, so (sᵢ*∧tᵢ*)(e_a, e_b) summed over i
+    is the (a, b) entry of ᵗ(P⁻¹)·B·P⁻¹ with B the rank-2m block form.
+    """
     P = basis.change_of_basis
     P_inv = try_inverse_matrix(P)
-    n = P.rows
-    m = basis.m
-    out = KForm.zero(P.domain, n, 2)
-    for i in range(m):
-        s_dual = KForm.one_form(P.domain, [P_inv[i, k] for k in range(n)])
-        t_dual = KForm.one_form(P.domain, [P_inv[m + i, k] for k in range(n)])
-        out = out + wedge(s_dual, t_dual)
-    return out
+    return gram_two_form(P_inv.transpose() @ block_normal_form(P.domain, basis.m, P.rows) @ P_inv)
 
 
 # -- symplectomorphisms ---------------------------------------------------------------

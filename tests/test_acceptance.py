@@ -31,7 +31,7 @@ from sympsheaf import (
     eigen_sections,
     enumerate_topologies,
     form_power,
-    glue_matrices,
+    glue_stalkwise,
     is_symplectic_map,
     orientation_form,
     point_space,
@@ -258,7 +258,7 @@ def test_criterion_9_sp_and_eigen_presheaf_gluing():
             U, 2 * m, 2 * m,
             lambda p: (M1 if p in split else M2).at_point(p))
         family = [mix.restrict(V) for V in cover]
-        glued = glue_matrices(U, cover, family)
+        glued = glue_stalkwise(U, cover, family)
         assert glued == mix  # gluing is unique: every entry is pointwise forced
         assert is_symplectic_map(glued, standard_J(U, m))
     # eigenpairs: per-member eigenpairs glue to an eigenpair over U

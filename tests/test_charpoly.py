@@ -68,14 +68,27 @@ def test_charpoly_non_constant_diagonal():
 
 def test_charpoly_monic_trace_det_identities():
     rng = random.Random(0)
-    for n in (2, 3, 4, 6):
-        m = rand_matrix(rng, PT, n, n)
+
+    def wide(bits):  # a (bits + 8)-bit numerator over an odd denominator below 2**bits
+        return F(rng.getrandbits(bits + 8) - 2 ** (bits + 7), rng.getrandbits(bits) | 1)
+
+    repeated = rand_matrix(rng, PT, 4, 4).at_point("x")
+    repeated[3] = repeated[1]
+    low = rand_matrix(rng, PT, 6, 2) @ rand_matrix(rng, PT, 2, 6)  # rank ≤ 2
+    inputs = [rand_matrix(rng, PT, n, n) for n in range(1, 9)] + [
+        SectionMatrix(PT, repeated), low, SectionMatrix.zeros(PT, 3, 3),
+        SectionMatrix(PT, [[wide(80) for _ in range(6)] for _ in range(6)]),
+        SectionMatrix(PT, [[wide(120) for _ in range(4)] for _ in range(4)])]
+    for m in inputs:
+        n = m.rows
         p = char_poly(m)
         assert p.degree == n and p.is_monic()
         assert p.coeffs[n - 1] == -m.trace()
         det, _ = determinant_adjugate(m)
         assert p.coeffs[0] == det * ((-1) ** n)
         assert [c.values[0] for c in p.coeffs] == charpoly_cofactor(m.at_point("x"))
+    empty = char_poly(SectionMatrix.zeros(PT, 0, 0))  # det of the 0×0 matrix tI is 1
+    assert [c.values[0] for c in empty.coeffs] == charpoly_cofactor([]) == [1]
 
 
 def test_charpoly_restriction_compatible():

@@ -32,6 +32,8 @@ CASES = [
     ("charpoly", "malformed", 2),
     ("charpoly", "zero_denominator", 2),
     ("charpoly", "ragged_rows", 2),
+    ("charpoly", "open_not_open", 2),
+    ("charpoly", "section_open_unknown", 2),
     ("eigen", "eigen_sections", 0),
     ("eigen", "rect", 1),
     ("eigen", "malformed", 2),
@@ -39,6 +41,7 @@ CASES = [
     ("sheaf-check", "constant_presheaf", 1),
     ("sheaf-check", "malformed", 2),
     ("sheaf-check", "bad_topology", 2),
+    ("sheaf-check", "cover_not_open", 2),
     ("wedge", "wedge_basic", 0),
     ("wedge", "wedge_mismatch", 1),
     ("wedge", "malformed", 2),

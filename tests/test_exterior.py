@@ -14,8 +14,10 @@ from sympsheaf import (
     KForm,
     SectionMatrix,
     SectionVector,
+    StructureSection,
     alternation,
     determinant_adjugate,
+    discrete,
     form_power,
     point_space,
     sierpinski,
@@ -36,6 +38,8 @@ from sympsheaf.errors import (
 from oracles import rand_frac, rand_section, rand_vector, wedge_eval_oracle
 
 PT = point_space().whole
+# multi-point sites, where a coefficient can vanish at some points only
+SITES = [PT, sierpinski().whole, discrete(["a", "b", "c"]).whole]
 
 
 def rand_tensor(rng, domain, rank, order, fill=3):
@@ -46,9 +50,14 @@ def rand_tensor(rng, domain, rank, order, fill=3):
     return CovariantTensor(domain, rank, order, coeffs)
 
 
-def rand_form(rng, domain, rank, degree):
-    coeffs = {idx: rand_section(rng, domain)
-              for idx in combinations(range(rank), degree)}
+def rand_form(rng, domain, rank, degree, holes=False):
+    """Random coefficients; with holes, each vanishes at about a third of the points."""
+    def coefficient():
+        s = rand_section(rng, domain)
+        if not holes:
+            return s
+        return StructureSection(domain, [v if rng.random() < 2 / 3 else 0 for v in s.values])
+    coeffs = {idx: coefficient() for idx in combinations(range(rank), degree)}
     return KForm(domain, rank, degree, coeffs)
 
 
@@ -140,11 +149,12 @@ def test_wedge_one_forms_basis_values():
 
 def test_wedge_matches_permutation_oracle_random():
     rng = random.Random(4)
-    for _ in range(10):
-        k, l = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
-        xi, eta = rand_form(rng, PT, 4, k), rand_form(rng, PT, 4, l)
-        args = [rand_vector(rng, PT, 4) for _ in range(k + l)]
-        assert wedge(xi, eta).evaluate(args) == wedge_eval_oracle(xi, eta, args)
+    for U in SITES:
+        for _ in range(10):
+            k, l = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+            xi, eta = rand_form(rng, U, 4, k, holes=True), rand_form(rng, U, 4, l, holes=True)
+            args = [rand_vector(rng, U, 4) for _ in range(k + l)]
+            assert wedge(xi, eta).evaluate(args) == wedge_eval_oracle(xi, eta, args)
 
 
 def test_wedge_odd_degree_squares_to_zero():
@@ -181,10 +191,41 @@ def test_wedge_graded_commutativity_random():
 
 def test_wedge_associativity_random():
     rng = random.Random(7)
+    for U in SITES:
+        for _ in range(10):
+            n = 6
+            a, b, c = (rand_form(rng, U, n, rng.randint(0, 2), holes=True) for _ in range(3))
+            assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+
+
+def test_restrict_commutes_with_wedge():
+    rng = random.Random(13)
+    sp = discrete(["a", "b", "c"])
     for _ in range(10):
-        n = 6
-        a, b, c = (rand_form(rng, PT, n, rng.randint(0, 2)) for _ in range(3))
-        assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+        xi = rand_form(rng, sp.whole, 5, rng.randint(0, 3), holes=True)
+        eta = rand_form(rng, sp.whole, 5, rng.randint(0, 2), holes=True)
+        for V in sp.all_opens():
+            assert wedge(xi, eta).restrict(V) == wedge(xi.restrict(V), eta.restrict(V))
+
+
+def test_wedge_and_alternation_build_no_sections(monkeypatch):
+    from sympsheaf import sections
+
+    rng = random.Random(14)
+    U = discrete(["a", "b", "c"]).whole
+    xi, eta = rand_form(rng, U, 5, 2, holes=True), rand_form(rng, U, 5, 2, holes=True)
+    t = tensor_product(rand_tensor(rng, U, 3, 2), rand_tensor(rng, U, 3, 1))
+    calls = []
+    inner = sections.StructureSection.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        inner(self, *args)
+
+    monkeypatch.setattr(sections.StructureSection, "__init__", counted)
+    assert not wedge(xi, eta).is_zero()
+    assert not alternation(t).is_zero()
+    assert not calls
 
 
 def test_wedge_degree_zero_is_scalar_multiplication():
@@ -206,6 +247,42 @@ def test_wedge_bilinear():
     xi, xi2 = rand_form(rng, PT, 4, 2), rand_form(rng, PT, 4, 2)
     eta = rand_form(rng, PT, 4, 1)
     assert wedge(xi + xi2, eta) == wedge(xi, eta) + wedge(xi2, eta)
+
+
+# -- storage -----------------------------------------------------------------------------
+
+
+def test_grid_and_stalk_constructors_agree():
+    U = sierpinski().whole
+    f = StructureSection.from_mapping(U, {"a": 2, "b": 0})
+    grid = KForm(U, 3, 2, {(0, 1): f, (0, 2): F(1, 2), (1, 2): 0})
+    stalks = KForm.from_stalks(U, 3, 2, [{(0, 2): F(1, 2), (0, 1): F(2)},
+                                         {(0, 2): F(1, 2), (1, 2): F(0)}])
+    assert grid == stalks and hash(grid) == hash(stalks)
+    assert grid.stalks == (((((0, 1), 2), ((0, 2), F(1, 2)))), (((0, 2), F(1, 2)),))
+    # the coefficients nonzero somewhere, built as sections on read
+    assert grid.coeffs == {(0, 1): f, (0, 2): StructureSection.constant(U, F(1, 2))}
+    assert grid.coefficient([1, 2]) == StructureSection.zero(U)
+    t = CovariantTensor(U, 2, 2, {(1, 0): f, (0, 0): 0})
+    t2 = CovariantTensor.from_stalks(U, 2, 2, [{(1, 0): F(2)}, {}])
+    assert t == t2 and hash(t) == hash(t2) and len({t, t2, t.scale(1)}) == 1
+    assert t != KForm.from_stalks(U, 2, 2, [{(0, 1): F(2)}, {}])
+    with pytest.raises(TypeError):
+        t + KForm.from_stalks(U, 2, 2, [{(0, 1): F(2)}, {}])
+
+
+def test_forms_on_the_empty_open_set():
+    E = sierpinski().empty
+    xi = KForm(E, 3, 1, {(0,): 2})  # the empty function: no coefficient survives
+    assert xi.is_zero() and xi.stalks == () and xi.coeffs == {}
+    assert xi == KForm.zero(E, 3, 1) == KForm.from_stalks(E, 3, 1, [])
+    w = wedge(xi, KForm.basis_blade(E, 3, [1, 2]))
+    assert w == KForm.zero(E, 3, 3) and w.degree == 3
+    assert (xi + xi - xi.scale(5)).is_zero()
+    assert xi.evaluate([SectionVector.basis(E, 3, 0)]) == StructureSection.zero(E)
+    t = tensor_product(CovariantTensor.basis_dual(E, 2, 0), CovariantTensor.basis_dual(E, 2, 1))
+    assert alternation(t).is_zero() and t.order == 2
+    assert t.evaluate([SectionVector.basis(E, 2, 0)] * 2) == StructureSection.zero(E)
 
 
 # -- evaluation -------------------------------------------------------------------------

@@ -7,11 +7,13 @@ import pytest
 from sympsheaf import (
     ConstantPresheaf,
     FunctionPresheaf,
+    KForm,
     StructureSection,
     check_completeness,
     discrete,
     enumerate_topologies,
     glue_sections,
+    glue_stalkwise,
     sheafify_sections,
     sierpinski,
     stalk_at,
@@ -147,6 +149,8 @@ def test_glue_sections_roundtrip():
     s = StructureSection.from_mapping(U, {"a": F(1, 3), "b": 7})
     glued = glue_sections(U, cover, [s.restrict(cover[0]), s.restrict(cover[1])])
     assert glued == s
+    form = KForm(U, 3, 2, {(0, 1): s, (1, 2): StructureSection.from_mapping(U, {"a": 0, "b": 2})})
+    assert glue_stalkwise(U, cover, [form.restrict(V) for V in cover]) == form
 
 
 def test_glue_incompatible_family_witness():
@@ -159,3 +163,8 @@ def test_glue_incompatible_family_witness():
     with pytest.raises(IncompatibleFamily) as err:
         glue_sections(U, cover, [left, right])
     assert err.value.witness["overlap"] == ("b",)
+    forms = [KForm(V, 2, 1, {(0,): s}) for V, s in zip(cover, (left, right))]
+    with pytest.raises(IncompatibleFamily) as err:
+        glue_stalkwise(U, cover, forms)
+    assert err.value.witness["overlap"] == ("b",)
+    assert err.value.witness["left"] == forms[0].restrict(cover[0].intersection(cover[1]))

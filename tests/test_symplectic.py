@@ -501,7 +501,7 @@ def test_sp_presheaf_completeness_on_small_sites():
 
 def test_sp_presheaf_glue_stays_symplectic():
     # compatible families of symplectic maps glue to symplectic maps
-    from sympsheaf import glue_matrices
+    from sympsheaf import glue_stalkwise
     rng = random.Random(14)
     sp = validate_topology(["a", "b", "c"],
                            [[], ["b"], ["a", "b"], ["b", "c"], ["a", "b", "c"]])
@@ -513,6 +513,6 @@ def test_sp_presheaf_glue_stays_symplectic():
     mix = SectionMatrix.from_point_data(
         U, 2, 2, lambda p: (M1 if p == "a" else M2).at_point(p))
     family = [mix.restrict(V) for V in cover]
-    glued = glue_matrices(U, cover, family)
+    glued = glue_stalkwise(U, cover, family)
     assert glued == mix
     assert is_symplectic_map(glued, standard_J(U, 1))
