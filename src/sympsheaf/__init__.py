@@ -9,6 +9,7 @@ rational-valued functions on open sets, and every certified identity
 from .charpoly import (
     EigenPair,
     EigenReport,
+    Polynomial,
     ReciprocityReport,
     cayley_hamilton_check,
     char_poly,
@@ -52,8 +53,7 @@ from .presheaf import (
     sheafify_sections,
     stalk_at,
 )
-from .rings import QQ, Polynomial, Ring, rational_try_sqrt
-from .sections import StructureSection, as_section, section_ring
+from .sections import StructureSection, as_section, rational_try_sqrt
 from .site import (
     FiniteSpace,
     OpenSet,

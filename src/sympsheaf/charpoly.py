@@ -1,11 +1,13 @@
-"""Characteristic polynomial sections, Cayley–Hamilton, and eigen-sections.
+"""Characteristic polynomials, Cayley–Hamilton, and eigen-sections.
 
-The characteristic polynomial det(tI − M) of a section matrix is computed
-on the ℚ[t] stalk at each point (Berkowitz's division-free method) and the
-coefficients reassembled into sections.  Eigenvalues are exact
-rational roots of the pointwise polynomials; per-point eigenpair choices
-are glued into sections deterministically (eigenvalues ascending,
-eigenvectors normalized to leading entry 1).
+A polynomial over A(U) = ∏_{x∈U} ℚ is one ℚ polynomial per point, so a
+Polynomial stores one coefficient tuple per point, like a section vector.
+The characteristic polynomial det(tI − M) is computed on the ℚ stalk at
+each point (Berkowitz's division-free method) and glued stalk by stalk;
+substitution, palindromy and root finding run on the stalks as well.
+Eigenvalues are exact rational roots of the pointwise polynomials;
+per-point eigenpair choices are glued into sections deterministically
+(eigenvalues ascending, eigenvectors normalized to leading entry 1).
 """
 
 from __future__ import annotations
@@ -20,18 +22,41 @@ from .errors import (
     DegreeTooLarge,
     DimensionMismatch,
     CayleyHamiltonViolation,
+    DomainMismatch,
     IncompatibleFamily,
     NotSquare,
     NotSymplectic,
 )
-from .modules import SectionMatrix, SectionVector
+from .modules import ZERO, SectionMatrix, SectionVector
 from .presheaf import glue_sections, glue_stalkwise
-from .rings import Polynomial
-from .sections import StructureSection, as_section, section_ring
+from .sections import StructureSection
 from .site import OpenSet, require_open_cover
 from .symplectic import is_symplectic_map, standard_J
 
 CHARPOLY_SIZE_CAP = 8
+
+
+class Polynomial(SectionVector):
+    """A polynomial over A(U) with n + 1 coefficients, constant term first,
+    stored as one tuple of ℚ coefficients per point of U.
+
+    Built from ints, Fractions or sections with Polynomial(U, coeffs), or
+    from per-point coefficient tuples with from_stalks.  Its degree is n,
+    also where the leading coefficient vanishes and on U = ∅.
+    """
+
+    __slots__ = ()
+
+    @property
+    def degree(self) -> int:
+        return self.length - 1
+
+    def is_monic(self) -> bool:
+        return self.length > 0 and all(s[-1] == 1 for s in self.stalks)
+
+    @property
+    def coeffs(self) -> tuple[StructureSection, ...]:
+        return self.entries
 
 
 def qq_charpoly(mat: qlinalg.QMatrix) -> list[Fraction]:
@@ -68,25 +93,27 @@ def char_poly(M: SectionMatrix) -> Polynomial:
     n = M.rows
     if n > CHARPOLY_SIZE_CAP:
         raise DegreeTooLarge(f"characteristic polynomial capped at size {CHARPOLY_SIZE_CAP}")
-    per_point = [qq_charpoly(s) for s in M.stalks]
-    coeffs = [StructureSection(M.domain, [c[i] for c in per_point]) for i in range(n + 1)]
-    return Polynomial(section_ring(M.domain), coeffs)
+    return Polynomial.from_stalks(M.domain, n + 1, map(qq_charpoly, M.stalks))
+
+
+def _horner(coeffs: Sequence[Fraction], mat: qlinalg.QMatrix) -> qlinalg.QMatrix:
+    n = len(mat)
+    out = [[ZERO] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        out = qlinalg.mat_mul(out, mat)
+        for i in range(n):
+            out[i][i] += c
+    return out
 
 
 def poly_apply(p: Polynomial, M: SectionMatrix) -> SectionMatrix:
-    """Substitute M for the variable: Σ cᵢ Mⁱ with M⁰ = I (Horner).
-
-    Accepts polynomials over plain rationals (coefficients promoted to
-    constant sections over M's domain) or over A(U) for the same U.
-    """
+    """Substitute M for the variable: Σ cᵢ Mⁱ with M⁰ = I, by Horner's rule
+    on the ℚ stalk at each point; p and M live on the same open set."""
     if not M.is_square():
         raise DimensionMismatch("polynomial substitution needs a square matrix")
-    n = M.rows
-    out = SectionMatrix.zeros(M.domain, n, n)
-    identity = SectionMatrix.identity(M.domain, n)
-    for c in reversed(p.coeffs):
-        out = out @ M + identity.scale(as_section(M.domain, c))
-    return out
+    if p.domain != M.domain:
+        raise DomainMismatch(f"polynomial on {p.domain} applied to a matrix on {M.domain}")
+    return SectionMatrix.from_stalks(M.domain, M.rows, M.rows, map(_horner, p.stalks, M.stalks))
 
 
 def cayley_hamilton_check(M: SectionMatrix, p: Polynomial) -> SectionMatrix:
@@ -259,8 +286,7 @@ def reciprocal_spectrum_check(M: SectionMatrix,
     if not is_symplectic_map(M, J):
         raise NotSymplectic("matrix does not preserve the form")
     p = char_poly(M)
-    palindromic = p.reversed(M.rows) == p
-    spectra = {point: tuple(rational_roots([c.values[k] for c in p.coeffs]))
-               for k, point in enumerate(M.domain.labels)}
+    palindromic = all(s == s[::-1] for s in p.stalks)
+    spectra = {point: tuple(rational_roots(s)) for point, s in zip(M.domain.labels, p.stalks)}
     closed = all(lam != 0 and 1 / lam in roots for roots in spectra.values() for lam in roots)
     return ReciprocityReport(palindromic, closed, p, spectra)

@@ -15,10 +15,6 @@ class MalformedInput(ValueError):
     field at fault.  Not an AlgebraError: the CLI exits with code 2."""
 
 
-class DivisionByZero(AlgebraError, ZeroDivisionError):
-    pass
-
-
 class NegativeInput(AlgebraError):
     pass
 

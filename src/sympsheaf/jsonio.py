@@ -12,10 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Sequence
 
+from .charpoly import Polynomial
 from .errors import MalformedInput, NotAnOpen, TopologyError, UnknownPoint
 from .exterior import KForm
 from .modules import SectionMatrix, SectionVector
-from .rings import Polynomial
 from .sections import StructureSection
 from .site import FiniteSpace, OpenSet, validate_topology
 
@@ -66,7 +66,8 @@ def section_from_json(domain: OpenSet, obj: Any, field: str) -> StructureSection
     if isinstance(obj, dict) and "values" in obj:
         declared = open_from_json(domain.space, obj.get("open", domain.labels), f"{field}.open")
         if declared != domain:
-            raise ValueError(f"section declared over {declared}, expected {domain}")
+            raise MalformedInput(
+                f"{field}.open: section declared over {declared}, expected {domain}")
         values = obj["values"]
         odd = sorted(set(values) ^ set(domain.labels), key=lambda p: (p not in values, p))
         if odd:
@@ -122,13 +123,19 @@ def _parse_multi_index(key: str) -> tuple[int, ...]:
     return tuple(int(part) - 1 for part in inner.split(","))
 
 
+def _int_from_json(obj: Any, field: str) -> int:
+    if type(obj) is not int:  # bool is an int subclass, and int() truncates floats
+        raise MalformedInput(f"{field}: not an integer: {obj!r}")
+    return obj
+
+
 def kform_from_json(domain: OpenSet, obj: dict, field: str) -> KForm:
-    degree, rank = int(obj["degree"]), int(obj["rank"])
+    degree = _int_from_json(obj["degree"], f"{field}.degree")
+    rank = _int_from_json(obj["rank"], f"{field}.rank")
     coeffs = {_parse_multi_index(k): section_from_json(domain, v, f"{field}.coeffs.{k}")
               for k, v in obj.get("coeffs", {}).items()}
     return KForm(domain, rank, degree, coeffs)
 
 
 def polynomial_to_json(p: Polynomial) -> list:
-    return [entry_to_json(c) if isinstance(c, StructureSection) else fraction_to_json(c)
-            for c in p.coeffs]
+    return [entry_to_json(c) for c in p.coeffs]

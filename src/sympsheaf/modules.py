@@ -146,7 +146,7 @@ class SectionVector(_Stalkwise):
         return StructureSection(self.domain, list(map(qlinalg.dot, self.stalks, other.stalks)))
 
     def __repr__(self):
-        return f"SectionVector({list(self.entries)})"
+        return f"{type(self).__name__}({list(self.entries)})"
 
 
 class SectionMatrix(_Stalkwise):

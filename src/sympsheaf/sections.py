@@ -1,19 +1,19 @@
 """Sections of the structure sheaf: rational-valued functions on open sets.
 
 The structure sheaf assigns to each open U the set of ALL functions
-U → ℚ with pointwise ring operations.  A section is a unit exactly when it
-is nowhere zero, strictly positive sections are invertible, and absolute
-value / square root act pointwise: all the order structure the symplectic
-reduction needs.
+U → ℚ with pointwise ring operations, so A(U) = ∏_{x∈U} ℚ.  A section is a
+unit exactly when it is nowhere zero; positivity, absolute value and the
+partial square root act pointwise.  Scalars are fractions.Fraction: exact,
+in canonical form, with decidable equality.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .errors import DomainMismatch, NonUnitSection, UnknownPoint
-from .rings import Ring, rational_try_sqrt
+from .errors import DomainMismatch, NegativeInput, NonUnitSection, NotExact, UnknownPoint
 from .site import OpenSet
 
 Scalar = Union[int, Fraction]
@@ -25,6 +25,22 @@ def exact(value) -> Fraction:
     if isinstance(value, (int, Fraction, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def rational_try_sqrt(a: Fraction) -> Fraction:
+    """Exact square root of a nonnegative rational, or NotExact.
+
+    Succeeds exactly when numerator and denominator (in canonical form) are
+    perfect squares.
+    """
+    a = Fraction(a)
+    if a < 0:
+        raise NegativeInput(f"sqrt of negative rational {a}")
+    num, den = a.numerator, a.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        raise NotExact(f"{a} has no rational square root", value=a)
+    return Fraction(rn, rd)
 
 
 class StructureSection:
@@ -166,30 +182,6 @@ class StructureSection:
     def __repr__(self):
         body = ", ".join(f"{p}: {v}" for p, v in zip(self.domain.labels, self.values))
         return "{" + body + "}"
-
-
-def section_ring(domain: OpenSet) -> Ring:
-    """The ring A(U) of rational-valued functions on U as a capability bundle."""
-
-    def try_inverse(s: StructureSection):
-        return s.inverse() if s.is_unit() else None
-
-    def try_sqrt(s: StructureSection):
-        return s.try_sqrt()
-
-    return Ring(
-        name=f"A({','.join(domain.labels)})",
-        zero=StructureSection.zero(domain),
-        one=StructureSection.one(domain),
-        add=lambda a, b: a + b,
-        neg=lambda a: -a,
-        mul=lambda a, b: a * b,
-        eq=lambda a, b: a == b,
-        try_inverse=try_inverse,
-        is_strictly_positive=lambda s: s.is_strictly_positive(),
-        absolute_value=abs,
-        try_sqrt=try_sqrt,
-    )
 
 
 def as_section(domain: OpenSet, value) -> StructureSection:

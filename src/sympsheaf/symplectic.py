@@ -35,7 +35,7 @@ from .errors import (
     NotSymplectic,
 )
 from .exterior import KForm, form_power
-from .modules import SectionMatrix, SectionVector, determinant, try_inverse_matrix
+from .modules import ONE, ZERO, SectionMatrix, SectionVector, determinant, try_inverse_matrix
 from .sections import StructureSection
 from .site import OpenSet
 
@@ -50,15 +50,10 @@ def standard_J(domain: OpenSet, m: int) -> SectionMatrix:
 
 def block_normal_form(domain: OpenSet, m: int, n: int) -> SectionMatrix:
     """The rank-2m degenerate normal form [[0,I_m,0],[−I_m,0,0],[0,0,0]] of size n."""
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        if i < m:
-            row[m + i] = 1
-        elif i < 2 * m:
-            row[i - m] = -1
-        rows.append(row)
-    return SectionMatrix(domain, rows)
+    stalk = [[ZERO] * n for _ in range(n)]
+    for i in range(m):
+        stalk[i][m + i], stalk[m + i][i] = ONE, -ONE
+    return SectionMatrix.from_stalks(domain, n, n, [stalk] * domain.size)
 
 
 def gram_two_form(omega: SectionMatrix) -> KForm:

@@ -9,7 +9,6 @@ import pytest
 from sympsheaf import (
     EigenPair,
     Polynomial,
-    QQ,
     SectionMatrix,
     SectionVector,
     StructureSection,
@@ -29,19 +28,35 @@ from sympsheaf import (
     try_inverse_matrix,
     validate_topology,
 )
-from sympsheaf.errors import DegreeTooLarge, IncompatibleFamily, NotSquare, NotSymplectic
+from sympsheaf.errors import (
+    DegreeTooLarge,
+    DomainMismatch,
+    IncompatibleFamily,
+    NotSquare,
+    NotSymplectic,
+)
 
 from oracles import charpoly_cofactor, rand_matrix
 
 PT = point_space().whole
 
 
-def qq_poly(*coeffs):
-    return Polynomial(QQ, [F(c) for c in coeffs])
+# -- the polynomial type -----------------------------------------------------------
 
 
-def section_coeffs(p):
-    return [c for c in p.coeffs]
+def test_polynomial_degree_and_monic():
+    t = Polynomial(PT, [0, 1])
+    assert t.is_monic() and t.degree == 1
+    # the degree is the stored one: a vanishing leading coefficient is kept
+    p = Polynomial(PT, [1, 2, 0])
+    assert p.degree == 2 and not p.is_monic() and p.coeffs[2] == 0
+    sp = sierpinski()
+    f = StructureSection.from_mapping(sp.whole, {"a": 1, "b": 0})
+    assert not Polynomial(sp.whole, [0, f]).is_monic()  # monic at a only
+    glued = Polynomial.from_stalks(sp.whole, 2, [(F(3), F(1)), (F(-1), F(1))])
+    grid = Polynomial(sp.whole, [StructureSection.from_mapping(sp.whole, {"a": 3, "b": -1}), 1])
+    assert glued == grid and hash(glued) == hash(grid) and glued.is_monic()
+    assert glued.restrict(sp.open_set(["a"])) == Polynomial(sp.open_set(["a"]), [3, 1])
 
 
 # -- char_poly ---------------------------------------------------------------------
@@ -98,6 +113,19 @@ def test_charpoly_restriction_compatible():
     V = sp.open_set(["a"])
     restricted = char_poly(m.restrict(V))
     assert [c.restrict(V) for c in char_poly(m).coeffs] == list(restricted.coeffs)
+    assert char_poly(m).restrict(V) == restricted
+
+
+def test_charpoly_on_empty_open_keeps_degree():
+    # A(∅) is the zero ring: det(tI − M) has n + 1 coefficients, all equal to 0 = 1
+    sp = sierpinski()
+    m = SectionMatrix.zeros(sp.empty, 2, 2)
+    p = char_poly(m)
+    assert p.degree == 2 and p.is_monic() and p.stalks == ()
+    assert len(p.coeffs) == 3 and all(c.values == () for c in p.coeffs)
+    assert cayley_hamilton_check(m, p).is_zero()
+    report = reciprocal_spectrum_check(m)
+    assert report.palindromic and report.spectrum_closed and report.spectra == {}
 
 
 def test_charpoly_guards():
@@ -112,20 +140,22 @@ def test_charpoly_guards():
 
 def test_poly_apply_variable_and_constant():
     m = SectionMatrix(PT, [[1, 2], [0, 1]])
-    t = Polynomial.variable(QQ)
+    t = Polynomial(PT, [0, 1])
     assert poly_apply(t, m) == m
-    assert poly_apply(qq_poly(1), m) == SectionMatrix.identity(PT, 2)
+    assert poly_apply(Polynomial(PT, [1]), m) == SectionMatrix.identity(PT, 2)
+    with pytest.raises(DomainMismatch):
+        poly_apply(Polynomial(sierpinski().whole, [0, 1]), m)
 
 
 def test_poly_apply_rotation_annihilated():
     m = SectionMatrix(PT, [[0, 1], [-1, 0]])
-    assert poly_apply(qq_poly(1, 0, 1), m).is_zero()  # M² + I = 0
+    assert poly_apply(Polynomial(PT, [1, 0, 1]), m).is_zero()  # M² + I = 0
 
 
 def test_poly_apply_module_action_is_horner():
     rng = random.Random(2)
     m = rand_matrix(rng, PT, 3, 3)
-    p = qq_poly(2, -1, 0, 3)
+    p = Polynomial(PT, [2, -1, 0, 3])
     direct = SectionMatrix.identity(PT, 3).scale(2) - m + (m @ m @ m).scale(3)
     assert poly_apply(p, m) == direct
 
@@ -164,7 +194,7 @@ def test_cayley_hamilton_inverse_matches_adjugate_route():
         if not det.is_unit():
             continue
         p = char_poly(m)
-        horner = Polynomial(p.ring, list(p.coeffs[1:]))
+        horner = Polynomial(PT, p.coeffs[1:])
         inv = poly_apply(horner, m).scale(p.coeffs[0].inverse()).scale(-1)
         assert inv == try_inverse_matrix(m)
 
@@ -375,6 +405,26 @@ def test_cli_charpoly_computes_each_stalk_polynomial_once(monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert main(["charpoly", "--input", str(rot), "--output", "json"]) == 0
     assert len(calls) == 1
+
+
+def test_charpoly_checks_build_no_sections(monkeypatch):
+    from sympsheaf import sections
+
+    U = discrete(["a", "b", "c"]).whole
+    m = random_symplectic(U, 2, random.Random(10), section_valued=True)
+    calls = []
+    inner = sections.StructureSection.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        inner(self, *args)
+
+    monkeypatch.setattr(sections.StructureSection, "__init__", counted)
+    p = char_poly(m)
+    assert cayley_hamilton_check(m, p).is_zero()
+    assert reciprocal_spectrum_check(m).palindromic
+    assert not calls
+    assert len(p.coeffs) == len(calls) == 5  # built when read
 
 
 def test_reciprocity_computes_each_stalk_polynomial_once(monkeypatch):

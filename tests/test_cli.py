@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from sympsheaf import is_symplectic_map, standard_J
+from sympsheaf import is_symplectic_map, point_space, standard_J
 from sympsheaf.cli import main
-from sympsheaf.jsonio import matrix_from_json, space_from_json
+from sympsheaf.errors import MalformedInput
+from sympsheaf.jsonio import kform_from_json, matrix_from_json, space_from_json
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -34,6 +35,8 @@ CASES = [
     ("charpoly", "ragged_rows", 2),
     ("charpoly", "open_not_open", 2),
     ("charpoly", "section_open_unknown", 2),
+    ("charpoly", "section_open_mismatch", 2),
+    ("charpoly", "empty_open", 0),
     ("eigen", "eigen_sections", 0),
     ("eigen", "rect", 1),
     ("eigen", "malformed", 2),
@@ -45,6 +48,7 @@ CASES = [
     ("wedge", "wedge_basic", 0),
     ("wedge", "wedge_mismatch", 1),
     ("wedge", "malformed", 2),
+    ("wedge", "wedge_fractional_degree", 2),
 ]
 
 
@@ -81,6 +85,14 @@ def test_charpoly_rot_coefficients():
     assert report["result"]["coeffs"] == [1, 0, 1]  # t² + 1
     residue = report["certificate"]["cayley_hamilton_residue"]
     assert residue == [[0, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("key", ["degree", "rank"])
+@pytest.mark.parametrize("bad", [1.7, 2.0, True, "2", None])
+def test_kform_degree_and_rank_must_be_integers(key, bad):
+    obj = {"degree": 1, "rank": 2, "coeffs": {"[1]": 1}, key: bad}
+    with pytest.raises(MalformedInput, match=rf"^xi\.{key}: "):
+        kform_from_json(point_space().whole, obj, "xi")
 
 
 def test_darboux_certificate_reverifies():

@@ -1,14 +1,24 @@
-"""Structure-sheaf sections: pointwise ring structure, units, restriction."""
+"""Structure-sheaf sections: exact rationals, pointwise ring structure,
+units, restriction."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
-from sympsheaf import StructureSection, section_ring, sierpinski, validate_topology
-from sympsheaf.errors import NonUnitSection, NotASubset, NotExact, UnknownPoint
+from sympsheaf import (
+    StructureSection,
+    point_space,
+    rational_try_sqrt,
+    sierpinski,
+    validate_topology,
+)
+from sympsheaf.errors import NegativeInput, NonUnitSection, NotASubset, NotExact, UnknownPoint
 
 from oracles import rand_section
+
+rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 
 
 def chain_space():
@@ -86,15 +96,15 @@ def test_units_are_nowhere_zero():
 def test_inverse_positive_section_condition():
     # strictly positive sections are invertible, with s·s⁻¹ = 1_U
     sp = sierpinski()
-    ring = section_ring(sp.whole)
     rng = random.Random(3)
     for _ in range(25):
         s = StructureSection(sp.whole, [abs(rand_section(rng, sp.whole).values[i]) + 1
                                         for i in range(2)])
-        assert ring.is_strictly_positive(s)
-        inv = ring.try_inverse(s)
-        assert inv is not None and s * inv == ring.one
-        assert ring.is_strictly_positive(inv)
+        assert s.is_strictly_positive()
+        assert s.is_unit()
+        inv = s.inverse()
+        assert s * inv == StructureSection.one(sp.whole)
+        assert inv.is_strictly_positive()
 
 
 def test_absolute_value_and_sqrt():
@@ -117,16 +127,14 @@ def test_mapping_must_match_domain():
 
 
 def test_section_ring_axioms_sampled():
-    sp = chain_space()
-    ring = section_ring(sp.open_set(["a", "b"]))
     rng = random.Random(5)
-    U = sp.open_set(["a", "b"])
+    U = chain_space().open_set(["a", "b"])
     for _ in range(20):
         a, b, c = (rand_section(rng, U) for _ in range(3))
-        assert ring.add(a, ring.add(b, c)) == ring.add(ring.add(a, b), c)
-        assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))
-        assert ring.mul(a, b) == ring.mul(b, a)
-        assert ring.add(a, ring.neg(a)) == ring.zero
+        assert a + (b + c) == (a + b) + c
+        assert a * (b + c) == a * b + a * c
+        assert a * b == b * a
+        assert a + (-a) == StructureSection.zero(U)
 
 
 def test_constructor_rejects_inexact_values():
@@ -136,3 +144,56 @@ def test_constructor_rejects_inexact_values():
             StructureSection(U, [bad])
     assert StructureSection(U, ["1/3"]) == F(1, 3)
     assert StructureSection(U, [F(2, 4)]).values == (F(1, 2),)
+
+
+# -- scalars: exact rationals -------------------------------------------------------
+
+
+def test_rational_ops_examples():
+    assert F(1, 2) + F(1, 3) == F(5, 6)  # cross-multiplication: (3+2)/6
+    assert 1 / F(1) == 1
+    assert abs(F(-3, 4)) == F(3, 4)
+
+
+def test_canonical_form():
+    q = F(6, -4)
+    assert (q.numerator, q.denominator) == (-3, 2)
+
+
+@given(rationals, rationals, rationals)
+def test_field_axioms(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    assert a + (-a) == 0
+    assert a * b == b * a
+    if a != 0:
+        assert a * (1 / a) == 1
+
+
+@given(rationals, rationals)
+def test_absolute_value_multiplicative(a, b):
+    assert abs(a * b) == abs(a) * abs(b)
+    assert abs(a) in (a, -a)
+
+
+@given(rationals)
+def test_strictly_positive_invertible(a):
+    # inverse-positive-section condition on a one-point space
+    s = StructureSection.constant(point_space().whole, a)
+    if s.is_strictly_positive():
+        assert s.is_unit() and s * s.inverse() == 1
+
+
+def test_try_sqrt_examples():
+    assert rational_try_sqrt(F(9, 4)) == F(3, 2)
+    assert rational_try_sqrt(F(0)) == 0
+    with pytest.raises(NotExact):
+        rational_try_sqrt(F(2))
+    with pytest.raises(NegativeInput):
+        rational_try_sqrt(F(-1))
+
+
+@given(rationals)
+def test_try_sqrt_roundtrip(a):
+    r = rational_try_sqrt(a * a)
+    assert r * r == a * a
