@@ -15,9 +15,15 @@ from fractions import Fraction
 
 from . import jsonio
 from .charpoly import cayley_hamilton_check, char_poly, eigen_sections
-from .errors import AlgebraError
+from .errors import AlgebraError, MalformedInput
 from .exterior import wedge
-from .presheaf import ConstantPresheaf, FunctionPresheaf, check_completeness, sample_grid
+from .presheaf import (
+    CompatibleFamily,
+    ConstantPresheaf,
+    FunctionPresheaf,
+    check_completeness,
+    sample_grid,
+)
 from .sections import StructureSection
 from .symplectic import (
     block_normal_form,
@@ -108,10 +114,10 @@ def _run_eigen(problem, space, U, seed):
     return 0, _report("eigen", "ok", result, certificate)
 
 
-def _axiom_witness_json(presheaf, witness):
+def _axiom_witness_json(witness):
     if witness is None:
         return None
-    if hasattr(witness, "cover"):  # a compatible family
+    if isinstance(witness, CompatibleFamily):
         return {"family": [{"open": list(V.labels), "section": _presheaf_section_json(s)}
                            for V, s in zip(witness.cover, witness.sections)]}
     left, right = witness
@@ -124,24 +130,31 @@ def _presheaf_section_json(s):
     return jsonio.fraction_to_json(Fraction(s))
 
 
+def _grid_entry(obj, field: str) -> Fraction:
+    try:
+        return jsonio.fraction_from_json(obj)
+    except ValueError as exc:
+        raise MalformedInput(f"{field}: {exc}") from None
+
+
 def _run_sheaf_check(problem, space, U, seed):
     kind = problem.get("presheaf", "functions")
-    grid = [jsonio.fraction_from_json(g) for g in problem["grid"]] if "grid" in problem \
-        else sample_grid(seed)
+    grid = [_grid_entry(g, f"grid[{i}]") for i, g in enumerate(problem["grid"])] \
+        if "grid" in problem else sample_grid(seed)
     if kind == "functions":
         presheaf = FunctionPresheaf(space, grid)
     elif kind == "constant":
         presheaf = ConstantPresheaf(space, grid)
     else:
-        raise ValueError(f"unknown presheaf kind {kind!r}")
+        raise MalformedInput(f"presheaf: unknown presheaf kind {kind!r}")
     cover = [jsonio.open_from_json(space, labels, f"cover[{i}]")
              for i, labels in enumerate(problem["cover"])]
     report = check_completeness(presheaf, U, cover)
     result = {
         "S1": {"axiom": "S1", "status": report.s1.status,
-               "witness": _axiom_witness_json(presheaf, report.s1.witness)},
+               "witness": _axiom_witness_json(report.s1.witness)},
         "S2": {"axiom": "S2", "status": report.s2.status,
-               "witness": _axiom_witness_json(presheaf, report.s2.witness)},
+               "witness": _axiom_witness_json(report.s2.witness)},
     }
     if report.passed:
         return 0, _report("sheaf-check", "ok", result)

@@ -7,10 +7,12 @@ along inclusions.  check_completeness transliterates the two axioms:
   S1 (locality): sections agreeing on every member of a cover are equal;
   S2 (gluing):   every compatible family over a cover comes from a section.
 
-Both are decided by exhaustive enumeration over the carrier, so for
-infinite section sets (all ℚ-valued functions) the carrier samples a
-deterministic finite grid of rationals; within the sampled carrier the
-verdict is exact.
+S1 buckets the carrier over U by each section's tuple of restrictions to
+the cover members.  S2 and sheafify_sections walk the one compatible-family
+enumerator, which joins the member carriers on their keys over the overlaps;
+a family glues iff its member keys name an S1 bucket.  For infinite section
+sets (all ℚ-valued functions) the carrier samples a deterministic finite
+grid of rationals; within the sampled carrier the verdict is exact.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import IncompatibleFamily, NonEnumerableSections, NotAnOpenCover
+from .errors import IncompatibleFamily, NonEnumerableSections
 from .modules import _Stalkwise
 from .sections import StructureSection
-from .site import FiniteSpace, OpenSet, is_open_cover, minimal_cover, minimal_open_neighborhood
+from .site import (FiniteSpace, OpenSet, minimal_cover, minimal_open_neighborhood,
+                   require_open_cover)
 
 CARRIER_CAP = 200_000
 
@@ -170,21 +173,21 @@ class CompletenessReport:
         return self.s1.passed and self.s2.passed
 
 
+def _restriction_key(presheaf: Presheaf, s, V: OpenSet):
+    return presheaf.key(presheaf.restrict(s, V))
+
+
 def check_completeness(presheaf: Presheaf, U: OpenSet,
                        cover: Sequence[OpenSet]) -> CompletenessReport:
     """Decide S1 and S2 for the presheaf over U against the given cover."""
     cover = list(cover)
-    if not is_open_cover(U, cover):
-        raise NotAnOpenCover(f"family does not cover {U}")
+    require_open_cover(U, cover)
     carrier = presheaf.sections(U)
-
-    def restriction_key(s, V: OpenSet):
-        return presheaf.key(presheaf.restrict(s, V))
 
     # S1: bucket carrier sections by their tuple of restrictions.
     buckets: dict[tuple, list] = {}
     for s in carrier:
-        k = tuple(restriction_key(s, V) for V in cover)
+        k = tuple(_restriction_key(presheaf, s, V) for V in cover)
         buckets.setdefault(k, []).append(s)
     s1 = AxiomReport("S1", "pass")
     for group in buckets.values():
@@ -196,91 +199,53 @@ def check_completeness(presheaf: Presheaf, U: OpenSet,
             s1 = AxiomReport("S1", "fail", witness=(distinct[0], distinct[1]))
             break
 
-    # S2: enumerate compatible families by backtracking and look up a glue.
-    member_sections = [presheaf.sections(V) for V in cover]
-    overlaps = [[cover[i].intersection(cover[j]) for j in range(len(cover))]
-                for i in range(len(cover))]
-    s2_witness = _search_unglueable(presheaf, cover, member_sections, overlaps, buckets)
-    s2 = (AxiomReport("S2", "fail", witness=s2_witness) if s2_witness is not None
+    # S2: a family glues iff its tuple of member keys is the restriction-key
+    # tuple of some carrier section, i.e. hits an S1 bucket.
+    unglued = next((f for f in _compatible_families(presheaf, cover)
+                    if tuple(presheaf.key(s) for s in f.sections) not in buckets), None)
+    s2 = (AxiomReport("S2", "fail", witness=unglued) if unglued is not None
           else AxiomReport("S2", "pass"))
     return CompletenessReport(s1, s2)
 
 
-def _search_unglueable(presheaf, cover, member_sections, overlaps, buckets):
-    """First compatible family with no glue in the carrier, else None.
+def _compatible_families(presheaf: Presheaf, cover: Sequence[OpenSet]):
+    """Yield every compatible family over the cover, in lexicographic carrier
+    order.
 
-    A family glues iff its tuple of member keys matches the restriction-key
-    tuple of some carrier section, i.e. hits a bucket.
+    Each member's carrier is bucketed by its keys on the nonempty overlaps
+    with the earlier members, so a partial family extends only through the
+    bucket its chosen sections select (a hash join): no candidate is tried
+    and rejected.
     """
-    bucket_keys = set(buckets.keys())
+    cover = tuple(cover)
+    earlier = [[(i, cover[i].intersection(V)) for i in range(j) if cover[i].mask & V.mask]
+               for j, V in enumerate(cover)]
+    index: list[dict[tuple, list]] = []
+    for V, overlaps in zip(cover, earlier):
+        bucket: dict[tuple, list] = {}
+        for s in presheaf.sections(V):
+            bucket.setdefault(tuple(_restriction_key(presheaf, s, o) for _, o in overlaps),
+                              []).append(s)
+        index.append(bucket)
     chosen: list = []
-    chosen_overlap_keys: list[dict[int, Any]] = []
 
-    def compatible(idx, candidate) -> bool:
-        # compatibility is only required over nonempty overlaps
-        for i in range(idx):
-            o = overlaps[i][idx]
-            if o.mask == 0:
-                continue
-            if presheaf.key(presheaf.restrict(candidate, o)) != chosen_overlap_keys[i][idx]:
-                return False
-        return True
-
-    def extend(idx):
-        if idx == len(cover):
-            family_key = tuple(presheaf.key(s) for s in chosen)
-            if family_key not in bucket_keys:
-                return CompatibleFamily(tuple(cover), tuple(chosen))
-            return None
-        for candidate in member_sections[idx]:
-            if not compatible(idx, candidate):
-                continue
-            chosen.append(candidate)
-            chosen_overlap_keys.append(
-                {j: presheaf.key(presheaf.restrict(candidate, overlaps[idx][j]))
-                 for j in range(idx + 1, len(cover))})
-            found = extend(idx + 1)
+    def extend(j):
+        if j == len(cover):
+            yield CompatibleFamily(cover, tuple(chosen))
+            return
+        wanted = tuple(_restriction_key(presheaf, chosen[i], o) for i, o in earlier[j])
+        for s in index[j].get(wanted, ()):
+            chosen.append(s)
+            yield from extend(j + 1)
             chosen.pop()
-            chosen_overlap_keys.pop()
-            if found is not None:
-                return found
-        return None
 
-    return extend(0)
+    yield from extend(0)
 
 
 def sheafify_sections(presheaf: Presheaf, U: OpenSet) -> list[CompatibleFamily]:
     """Sections of the generated sheaf over U, as compatible families over
     the minimal open neighborhoods of the points of U."""
-    cover = minimal_cover(U)
-    member_sections = [presheaf.sections(V) for V in cover]
-    overlaps = [[cover[i].intersection(cover[j]) for j in range(len(cover))]
-                for i in range(len(cover))]
-    out: list[CompatibleFamily] = []
-    chosen: list = []
-
-    def compatible(idx, candidate) -> bool:
-        for i in range(idx):
-            o = overlaps[i][idx]
-            if o.mask == 0:
-                continue
-            if presheaf.key(presheaf.restrict(candidate, o)) != \
-               presheaf.key(presheaf.restrict(chosen[i], o)):
-                return False
-        return True
-
-    def extend(idx):
-        if idx == len(cover):
-            out.append(CompatibleFamily(tuple(cover), tuple(chosen)))
-            return
-        for candidate in member_sections[idx]:
-            if compatible(idx, candidate):
-                chosen.append(candidate)
-                extend(idx + 1)
-                chosen.pop()
-
-    extend(0)
-    return out
+    return list(_compatible_families(presheaf, minimal_cover(U)))
 
 
 def stalk_at(presheaf: Presheaf, label: str) -> list:
@@ -298,8 +263,7 @@ def _glue_positions(U: OpenSet, cover: Sequence[OpenSet],
     each point of U the first member containing it and the point's position
     there.  Raises IncompatibleFamily with the first disagreeing overlap."""
     cover = list(cover)
-    if not is_open_cover(U, cover):
-        raise NotAnOpenCover(f"family does not cover {U}")
+    require_open_cover(U, cover)
     for i in range(len(cover)):
         for j in range(i + 1, len(cover)):
             o = cover[i].intersection(cover[j])

@@ -45,6 +45,8 @@ CASES = [
     ("sheaf-check", "malformed", 2),
     ("sheaf-check", "bad_topology", 2),
     ("sheaf-check", "cover_not_open", 2),
+    ("sheaf-check", "presheaf_kind_unknown", 2),
+    ("sheaf-check", "grid_not_rational", 2),
     ("wedge", "wedge_basic", 0),
     ("wedge", "wedge_mismatch", 1),
     ("wedge", "malformed", 2),
@@ -93,6 +95,19 @@ def test_kform_degree_and_rank_must_be_integers(key, bad):
     obj = {"degree": 1, "rank": 2, "coeffs": {"[1]": 1}, key: bad}
     with pytest.raises(MalformedInput, match=rf"^xi\.{key}: "):
         kform_from_json(point_space().whole, obj, "xi")
+
+
+@pytest.mark.parametrize("bad", [True, None])  # 1.5 is the golden case
+def test_sheaf_check_grid_entries_must_be_rationals(tmp_path, bad):
+    problem = json.loads((DATA / "constant_presheaf.json").read_text())
+    problem["grid"] = [0, bad]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["sheaf-check", "--input", str(path), "--output", "json"])
+    assert code == 2
+    assert json.loads(buf.getvalue())["error"]["message"].startswith("MalformedInput: grid[1]: ")
 
 
 def test_darboux_certificate_reverifies():

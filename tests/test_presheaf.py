@@ -1,6 +1,8 @@
 """Presheaf axioms S1/S2, sheafification, stalks, gluing."""
 
+import time
 from fractions import Fraction as F
+from itertools import permutations, product
 
 import pytest
 
@@ -14,12 +16,15 @@ from sympsheaf import (
     enumerate_topologies,
     glue_sections,
     glue_stalkwise,
+    is_open_cover,
+    minimal_cover,
     sheafify_sections,
     sierpinski,
     stalk_at,
     validate_topology,
 )
 from sympsheaf.errors import IncompatibleFamily, NonEnumerableSections, NotAnOpenCover
+from sympsheaf.presheaf import _compatible_families
 
 
 def three_point_site():
@@ -94,6 +99,60 @@ def test_function_sheaf_all_three_point_topologies():
             for cover in antichain_covers(U):
                 report = check_completeness(presheaf, U, cover)
                 assert report.passed, (sp, U, cover)
+
+
+def brute_force_families(presheaf, cover):
+    """Every choice of one carrier section per member, in product order,
+    kept when the choices agree on each nonempty overlap."""
+    carriers = [presheaf.sections(V) for V in cover]
+    overlaps = [(i, j, cover[i].intersection(cover[j]))
+                for j in range(len(cover)) for i in range(j) if cover[i].mask & cover[j].mask]
+    keys = {(m, o): [presheaf.key(presheaf.restrict(s, o)) for s in carriers[m]]
+            for i, j, o in overlaps for m in (i, j)}
+    return [tuple(c[k] for c, k in zip(carriers, choice))
+            for choice in product(*(range(len(c)) for c in carriers))
+            if all(keys[i, o][choice[i]] == keys[j, o][choice[j]] for i, j, o in overlaps)]
+
+
+def covers_up_to_three(U):
+    """Every ordered cover of U by at most three opens inside it."""
+    inside = [V for V in U.space.all_opens() if V.is_subset(U)]
+    return [list(cover) for r in range(4) for cover in permutations(inside, r)
+            if is_open_cover(U, cover)]
+
+
+@pytest.mark.parametrize("grid", [(F(0), F(1)), (F(0), F(1), F(-1, 2))], ids=["grid2", "grid3"])
+@pytest.mark.parametrize("kind", [FunctionPresheaf, ConstantPresheaf])
+def test_compatible_families_match_brute_force_in_order(kind, grid):
+    # pins the enumeration order, hence the S2 witnesses sheaf-check prints
+    for sp in enumerate_topologies(["a", "b", "c"]):
+        presheaf = kind(sp, grid)
+        for U in sp.all_opens():
+            carrier = presheaf.sections(U)
+            for cover in covers_up_to_three(U):
+                families = list(_compatible_families(presheaf, cover))
+                expected = brute_force_families(presheaf, cover)
+                assert [f.sections for f in families] == expected, (sp, U, cover)
+                assert all(f.cover == tuple(cover) for f in families)
+                glued = {tuple(presheaf.key(presheaf.restrict(s, V)) for V in cover)
+                         for s in carrier}
+                unglued = [f for f in expected
+                           if tuple(presheaf.key(s) for s in f) not in glued]
+                witness = check_completeness(presheaf, U, cover).s2.witness
+                assert (witness and witness.sections) == next(iter(unglued), None), \
+                    (sp, U, cover)
+
+
+def test_chain_six_by_four_values_scales():
+    # the opens of a 6-point chain are its up-sets, so the minimal cover is
+    # six nested opens; 4**6 families, found by a join over the overlaps
+    points = [f"p{i}" for i in range(6)]
+    sp = validate_topology(points, [points[k:] for k in range(7)])
+    presheaf = FunctionPresheaf(sp, (F(0), F(1), F(-1, 2), F(2)))
+    start = time.perf_counter()
+    assert check_completeness(presheaf, sp.whole, minimal_cover(sp.whole)).passed
+    assert len(sheafify_sections(presheaf, sp.whole)) == 4 ** 6
+    assert time.perf_counter() - start < 10
 
 
 def test_cover_must_cover():
