@@ -47,7 +47,6 @@ from .presheaf import (
     FunctionPresheaf,
     GermSampledPresheaf,
     check_completeness,
-    glue_sections,
     glue_stalkwise,
     sample_grid,
     sheafify_sections,

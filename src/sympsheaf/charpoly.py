@@ -23,12 +23,11 @@ from .errors import (
     DimensionMismatch,
     CayleyHamiltonViolation,
     DomainMismatch,
-    IncompatibleFamily,
     NotSquare,
     NotSymplectic,
 )
 from .modules import ZERO, SectionMatrix, SectionVector
-from .presheaf import glue_sections, glue_stalkwise
+from .presheaf import glue_stalkwise
 from .sections import StructureSection
 from .site import OpenSet, require_open_cover
 from .symplectic import is_symplectic_map, standard_J
@@ -233,9 +232,10 @@ def eigen_presheaf_glue(M: SectionMatrix, cover: Sequence[OpenSet],
                         pairs: Sequence[EigenPair]) -> EigenPair:
     """Glue per-cover-member eigenpairs of M into an eigenpair over its domain.
 
-    The family must agree on overlaps (both eigenvalues and eigenvectors);
-    IncompatibleFamily carries the first disagreeing overlap.  Each member
-    must be an actual eigenpair of M restricted to its member.
+    The family must agree on overlaps: the eigenvalues are glued first, then
+    the eigenvectors, and IncompatibleFamily carries the first disagreeing
+    overlap with the two restrictions there.  Each member must be an actual
+    eigenpair of M restricted to its member.
     """
     U = M.domain
     require_open_cover(U, cover)
@@ -247,18 +247,7 @@ def eigen_presheaf_glue(M: SectionMatrix, cover: Sequence[OpenSet],
             raise ValueError(f"not an eigenpair of M over {V}")
         if not pair.vector.is_nowhere_zero():
             raise ValueError(f"eigenvector vanishes at a point of {V}")
-    for i in range(len(cover)):
-        for j in range(i + 1, len(cover)):
-            o = cover[i].intersection(cover[j])
-            if o.mask == 0:
-                continue
-            if pairs[i].lam.restrict(o) != pairs[j].lam.restrict(o) or \
-               pairs[i].vector.restrict(o) != pairs[j].vector.restrict(o):
-                raise IncompatibleFamily(
-                    f"eigenpairs disagree on {o}",
-                    witness={"members": (cover[i].labels, cover[j].labels),
-                             "overlap": o.labels})
-    lam = glue_sections(U, cover, [p.lam for p in pairs])
+    lam = glue_stalkwise(U, cover, [p.lam for p in pairs])
     vec = glue_stalkwise(U, cover, [p.vector for p in pairs])
     if (M @ vec) != vec.scale(lam):
         raise AssertionError("glued eigenpair failed verification; bug")

@@ -130,16 +130,17 @@ def _presheaf_section_json(s):
     return jsonio.fraction_to_json(Fraction(s))
 
 
-def _grid_entry(obj, field: str) -> Fraction:
-    try:
-        return jsonio.fraction_from_json(obj)
-    except ValueError as exc:
-        raise MalformedInput(f"{field}: {exc}") from None
+def _array(problem, key: str) -> list:
+    value = problem[key]
+    if not isinstance(value, list):
+        raise MalformedInput(f"{key}: not an array: {value!r}")
+    return value
 
 
 def _run_sheaf_check(problem, space, U, seed):
     kind = problem.get("presheaf", "functions")
-    grid = [_grid_entry(g, f"grid[{i}]") for i, g in enumerate(problem["grid"])] \
+    grid = [jsonio.fraction_from_json(g, f"grid[{i}]")
+            for i, g in enumerate(_array(problem, "grid"))] \
         if "grid" in problem else sample_grid(seed)
     if kind == "functions":
         presheaf = FunctionPresheaf(space, grid)
@@ -148,7 +149,7 @@ def _run_sheaf_check(problem, space, U, seed):
     else:
         raise MalformedInput(f"presheaf: unknown presheaf kind {kind!r}")
     cover = [jsonio.open_from_json(space, labels, f"cover[{i}]")
-             for i, labels in enumerate(problem["cover"])]
+             for i, labels in enumerate(_array(problem, "cover"))]
     report = check_completeness(presheaf, U, cover)
     result = {
         "S1": {"axiom": "S1", "status": report.s1.status,

@@ -30,8 +30,8 @@ from .errors import (
     DomainMismatch,
     NonUnitDeterminant,
 )
-from .modules import SectionMatrix, SectionVector, _Stalkwise, determinant
-from .sections import Scalar, StructureSection, as_section
+from .modules import SectionMatrix, SectionVector, determinant
+from .sections import Scalar, StructureSection, _Stalkwise, as_section
 from .site import OpenSet
 
 Entry = Union[Scalar, StructureSection]
@@ -67,7 +67,7 @@ class _Multilinear(_Stalkwise):
         for idx, c in coeffs.items():
             idx = tuple(idx)
             self._check_index(idx, rank, arity)
-            grid[idx] = as_section(domain, c).values
+            grid[idx] = as_section(domain, c).stalks
         support = sorted(grid)
         self._freeze(domain=domain, rank=rank, arity=arity,
                      stalks=tuple(tuple((i, grid[i][k]) for i in support if grid[i][k])
@@ -303,7 +303,7 @@ def volume_element(metric: SectionMatrix, basis: Sequence[SectionVector]) -> KFo
     root = abs(det_g).try_sqrt()
     top = tuple(range(n))
     return KForm.from_stalks(metric.domain, n, n,
-                             ({top: r / d} for r, d in zip(root.values, det_s.values)))
+                             ({top: r / d} for r, d in zip(root.stalks, det_s.stalks)))
 
 
 def form_power(omega: KForm, m: int) -> KForm:

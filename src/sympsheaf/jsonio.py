@@ -25,17 +25,17 @@ def fraction_to_json(q: Fraction) -> Any:
     return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def fraction_from_json(obj: Any) -> Fraction:
-    if isinstance(obj, bool):
-        raise ValueError(f"not a rational: {obj!r}")
-    if isinstance(obj, int):
+def fraction_from_json(obj: Any, field: str) -> Fraction:
+    if type(obj) is int:  # bool is an int subclass
         return Fraction(obj)
     if isinstance(obj, str):
         try:
             return Fraction(obj)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {obj!r}") from None
-    raise ValueError(f"not a rational: {obj!r}")
+            raise MalformedInput(f"{field}: zero denominator: {obj!r}") from None
+        except ValueError:
+            pass
+    raise MalformedInput(f"{field}: not a rational: {obj!r}")
 
 
 def space_to_json(space: FiniteSpace) -> dict:
@@ -51,6 +51,8 @@ def space_from_json(obj: dict) -> FiniteSpace:
 
 
 def open_from_json(space: FiniteSpace, labels: Any, field: str) -> OpenSet:
+    if not isinstance(labels, list) or not all(isinstance(p, str) for p in labels):
+        raise MalformedInput(f"{field}: not an array of point labels: {labels!r}")
     try:
         return space.open_set(labels)
     except (NotAnOpen, UnknownPoint) as exc:
@@ -59,12 +61,13 @@ def open_from_json(space: FiniteSpace, labels: Any, field: str) -> OpenSet:
 
 def section_to_json(s: StructureSection) -> dict:
     return {"open": list(s.domain.labels),
-            "values": {p: fraction_to_json(v) for p, v in zip(s.domain.labels, s.values)}}
+            "values": {p: fraction_to_json(v) for p, v in zip(s.domain.labels, s.stalks)}}
 
 
 def section_from_json(domain: OpenSet, obj: Any, field: str) -> StructureSection:
     if isinstance(obj, dict) and "values" in obj:
-        declared = open_from_json(domain.space, obj.get("open", domain.labels), f"{field}.open")
+        declared = open_from_json(domain.space, obj["open"], f"{field}.open") \
+            if "open" in obj else domain
         if declared != domain:
             raise MalformedInput(
                 f"{field}.open: section declared over {declared}, expected {domain}")
@@ -73,14 +76,15 @@ def section_from_json(domain: OpenSet, obj: Any, field: str) -> StructureSection
         if odd:
             where = "not in" if odd[0] in values else "missing from"
             raise MalformedInput(f"{field}.values.{odd[0]}: point {odd[0]!r} is {where} {domain}")
-        return StructureSection(domain, [fraction_from_json(values[p]) for p in domain.labels])
-    return StructureSection.constant(domain, fraction_from_json(obj))
+        return StructureSection(domain, [fraction_from_json(values[p], f"{field}.values.{p}")
+                                         for p in domain.labels])
+    return StructureSection.constant(domain, fraction_from_json(obj, field))
 
 
 def entry_to_json(s: StructureSection) -> Any:
     """Bare rational for constant sections, full section object otherwise."""
-    if s.domain.size and all(v == s.values[0] for v in s.values):
-        return fraction_to_json(s.values[0])
+    if s.domain.size and all(v == s.stalks[0] for v in s.stalks):
+        return fraction_to_json(s.stalks[0])
     if s.domain.size == 0:
         return 0
     return section_to_json(s)

@@ -1,91 +1,28 @@
 """Free modules of sections: vectors and matrices over the function ring A(U).
 
 Since A(U) = ∏_{x∈U} ℚ, a vector or matrix over A(U) is one ℚ vector or
-matrix per point of U, and that is how both are stored: `stalks` holds the
-stalk at each point of `domain.labels`, in that order, as tuples of
-Fractions (tuple rows for a matrix).  All arithmetic runs stalk by stalk on
-the qlinalg kernels, which keeps everything exact and makes the Laplace
-identity A·adj(A) = det(A)·I hold on the nose.  StructureSection entries
-are built only when a caller reads them.
+matrix per point of U.  Both sit on the stalkwise base of `sections`:
+`stalks` holds the stalk at each point of `domain.labels`, in that order, as
+tuples of Fractions (tuple rows for a matrix), and restriction, entrywise
+arithmetic and equality come from the base.  Products, determinants and
+inverses run stalk by stalk on the qlinalg kernels, which keeps everything
+exact and makes the Laplace identity A·adj(A) = det(A)·I hold on the nose.
+StructureSection entries are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import qlinalg
 from .errors import DimensionMismatch, DomainMismatch, NonUnitDeterminant, NotSquare
-from .sections import Scalar, StructureSection, as_section, exact
+from .sections import Scalar, StructureSection, _Stalkwise, as_section, exact
 from .site import OpenSet
 
 Entry = Union[Scalar, StructureSection]
 ZERO, ONE = Fraction(0), Fraction(1)
-
-
-class _Stalkwise:
-    """Storage and entrywise arithmetic shared by section vectors, matrices,
-    k-forms and covariant tensors.
-
-    `stalks` holds the value at each point of `domain.labels`, in that order:
-    a tuple of Fractions for a vector, a tuple of such rows for a matrix, a
-    sorted tuple of (multi-index, Fraction) pairs for a form or tensor.  The
-    shape is stored apart, since U = ∅ has no stalk.  Subclasses supply
-    `shape`, `from_stalks` and `_entrywise(op, *stalks)`, which applies op
-    entry by entry to stalks of one shape.
-    """
-
-    __slots__ = ()
-
-    def _freeze(self, **fields):
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _like(self, stalks, domain: Optional[OpenSet] = None):
-        return self.from_stalks(self.domain if domain is None else domain, *self.shape, stalks)
-
-    def restrict(self, V: OpenSet):
-        stalks = self.stalks
-        return self._like([stalks[k] for k in V.positions_in(self.domain)], V)
-
-    def _check(self, other):
-        if type(other) is not type(self):  # a form and a tensor can share a shape
-            raise TypeError(f"{type(self).__name__} combined with {type(other).__name__}")
-        if other.domain != self.domain:
-            raise DomainMismatch(f"{type(self).__name__}s over different open sets")
-        if other.shape != self.shape:
-            raise DimensionMismatch(f"shapes {self.shape} vs {other.shape}")
-
-    def __add__(self, other):
-        self._check(other)
-        return self._like(map(partial(self._entrywise, add), self.stalks, other.stalks))
-
-    def __sub__(self, other):
-        self._check(other)
-        return self._like(map(partial(self._entrywise, sub), self.stalks, other.stalks))
-
-    def __neg__(self):
-        return self._like(self._entrywise(neg, s) for s in self.stalks)
-
-    def scale(self, c: Entry):
-        c = as_section(self.domain, c)
-        return self._like(self._entrywise(partial(mul, x), s)
-                          for x, s in zip(c.values, self.stalks))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.domain, self.shape, self.stalks) == (other.domain, other.shape, other.stalks)
-
-    def __hash__(self):
-        return hash((self.domain.mask, self.shape, self.stalks))
 
 
 class SectionVector(_Stalkwise):
@@ -94,7 +31,7 @@ class SectionVector(_Stalkwise):
     __slots__ = ("domain", "length", "stalks")
 
     def __init__(self, domain: OpenSet, entries: Iterable[Entry]):
-        values = [as_section(domain, e).values for e in entries]
+        values = [as_section(domain, e).stalks for e in entries]
         self._freeze(domain=domain, length=len(values),
                      stalks=tuple(zip(*values)) if values else ((),) * domain.size)
 
@@ -155,7 +92,7 @@ class SectionMatrix(_Stalkwise):
     __slots__ = ("domain", "rows", "cols", "stalks")
 
     def __init__(self, domain: OpenSet, rows_data: Iterable[Iterable[Entry]]):
-        grid = [[as_section(domain, e).values for e in row] for row in rows_data]
+        grid = [[as_section(domain, e).stalks for e in row] for row in rows_data]
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise DimensionMismatch("ragged rows")
         self._freeze(domain=domain, rows=len(grid), cols=len(grid[0]) if grid else 0,

@@ -13,18 +13,23 @@ enumerator, which joins the member carriers on their keys over the overlaps;
 a family glues iff its member keys name an S1 bucket.  For infinite section
 sets (all ℚ-valued functions) the carrier samples a deterministic finite
 grid of rationals; within the sampled carrier the verdict is exact.
+
+glue_stalkwise is the one gluing routine, for every stalkwise object
+(section, vector, matrix, polynomial, form): it checks the overlaps and
+takes each point's stalk from a member containing it.  The germ-sampled
+carrier is built with it, from the compatible families of sample germs over
+the minimal open neighborhoods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Any, Callable, Optional, Sequence
+from itertools import combinations, product
+from typing import Any, Sequence
 
 from .errors import IncompatibleFamily, NonEnumerableSections
-from .modules import _Stalkwise
-from .sections import StructureSection
+from .sections import StructureSection, _Stalkwise
 from .site import (FiniteSpace, OpenSet, minimal_cover, minimal_open_neighborhood,
                    require_open_cover)
 
@@ -79,7 +84,7 @@ class FunctionPresheaf(Presheaf):
         return [StructureSection(U, values) for values in product(self.grid, repeat=U.size)]
 
     def key(self, s: StructureSection):
-        return (s.domain.mask, s.values)
+        return (s.domain.mask, s.stalks)
 
 
 class ConstantPresheaf(Presheaf):
@@ -104,41 +109,26 @@ class GermSampledPresheaf(Presheaf):
     """Finite subpresheaf generated by global samples, closed under gluing.
 
     The carrier over U consists of every object whose germ on each minimal
-    open neighborhood N(x), x ∈ U, is the germ of one of the samples.  Such
-    mixes restrict and glue within the carrier, so completeness checks are
+    open neighborhood U_x, x ∈ U, is the germ of one of the samples.  On a
+    finite space the U_x form the minimal basis, so these objects are exactly
+    the gluings of compatible families of sample germs over the U_x inside U
+    (Barmak, LNM 2032; Curry, "Sheaves, cosheaves and applications").  The
+    carrier restricts and glues within itself, so completeness checks are
     meaningful for presheaves (symplectic maps, eigenpairs) whose full
-    carrier is not enumerable.  Objects must expose restrict(V); ``merge``
-    builds an object over U taking the data at each point from the chosen
-    global sample.
+    carrier is not enumerable.  The samples are stalkwise objects of one
+    shape over the whole space.
     """
 
-    def __init__(self, space: FiniteSpace, samples: Sequence[Any],
-                 merge: Callable[[OpenSet, dict[str, Any]], Any],
-                 key: Optional[Callable[[Any], Any]] = None):
+    def __init__(self, space: FiniteSpace, samples: Sequence[_Stalkwise]):
         self.space = space
         self.samples = list(samples)
-        self.merge = merge
-        self._key = key or (lambda s: s)
 
-    def key(self, s):
-        return self._key(s)
-
-    def sections(self, U: OpenSet) -> list:
-        pts = U.labels
-        if not pts:
-            return [self.merge(U, {})]
-        nbhds = {p: minimal_open_neighborhood(self.space, p) for p in pts}
-        germ_keys = {p: {self._key(s.restrict(nbhds[p])) for s in self.samples} for p in pts}
-        out, seen = [], set()
-        for assign in product(self.samples, repeat=len(pts)):
-            obj = self.merge(U, dict(zip(pts, assign)))
-            if any(self._key(obj.restrict(nbhds[p])) not in germ_keys[p] for p in pts):
-                continue
-            k = self._key(obj)
-            if k not in seen:
-                seen.add(k)
-                out.append(obj)
-        return out
+    def sections(self, U: OpenSet) -> list[_Stalkwise]:
+        cover = minimal_cover(U)
+        if not U.mask or U in cover:  # ∅ or some U_x: the distinct sample germs
+            return list(dict.fromkeys(s.restrict(U) for s in self.samples))
+        return [glue_stalkwise(U, f.cover, f.sections)
+                for f in _compatible_families(self, cover)]
 
 
 @dataclass(frozen=True)
@@ -257,37 +247,23 @@ def stalk_at(presheaf: Presheaf, label: str) -> list:
 # -- gluing utilities ----------------------------------------------------------
 
 
-def _glue_positions(U: OpenSet, cover: Sequence[OpenSet],
-                    parts: Sequence) -> list[tuple[int, int]]:
-    """Check that the family agrees on every nonempty overlap, and return for
-    each point of U the first member containing it and the point's position
-    there.  Raises IncompatibleFamily with the first disagreeing overlap."""
+def glue_stalkwise(U: OpenSet, cover: Sequence[OpenSet], parts: Sequence[_Stalkwise]):
+    """Glue a compatible family of sections, vectors, matrices, polynomials or
+    k-forms of one shape over a cover of U, taking each point's stalk from the
+    first member that contains it.  Raises IncompatibleFamily with the first
+    disagreeing overlap, the two members and their restrictions to it."""
     cover = list(cover)
     require_open_cover(U, cover)
-    for i in range(len(cover)):
-        for j in range(i + 1, len(cover)):
-            o = cover[i].intersection(cover[j])
-            if o.mask == 0:
-                continue
-            left, right = parts[i].restrict(o), parts[j].restrict(o)
-            if left != right:
-                raise IncompatibleFamily(
-                    f"sections disagree on {o}",
-                    witness={"members": (cover[i].labels, cover[j].labels),
-                             "overlap": o.labels, "left": left, "right": right})
-    return [next((k, parts[k].domain.position(p)) for k, V in enumerate(cover) if p in V)
-            for p in U.labels]
-
-
-def glue_sections(U: OpenSet, cover: Sequence[OpenSet],
-                  parts: Sequence[StructureSection]) -> StructureSection:
-    """Glue a compatible family of structure sections over a cover of U."""
-    return StructureSection(U, [parts[k].values[i] for k, i in _glue_positions(U, cover, parts)])
-
-
-def glue_stalkwise(U: OpenSet, cover: Sequence[OpenSet], parts: Sequence[_Stalkwise]):
-    """Glue a compatible family of section vectors, matrices or k-forms of one
-    shape over a cover of U, taking each point's stalk from the first member
-    that contains it."""
-    stalks = [parts[k].stalks[i] for k, i in _glue_positions(U, cover, parts)]
+    for (i, V), (j, W) in combinations(enumerate(cover), 2):
+        o = V.intersection(W)
+        if not o.mask:
+            continue
+        left, right = parts[i].restrict(o), parts[j].restrict(o)
+        if left != right:
+            raise IncompatibleFamily(
+                f"sections disagree on {o}",
+                witness={"members": (V.labels, W.labels), "overlap": o.labels,
+                         "left": left, "right": right})
+    stalks = [next(parts[k].stalks[parts[k].domain.position(p)]
+                   for k, V in enumerate(cover) if p in V) for p in U.labels]
     return parts[0].from_stalks(U, *parts[0].shape, stalks)

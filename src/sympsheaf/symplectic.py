@@ -202,15 +202,13 @@ def standard_sum_decomposition(basis: DarbouxBasis) -> KForm:
 # -- symplectomorphisms ---------------------------------------------------------------
 
 
-def is_symplectic_map(M: SectionMatrix, omega: SectionMatrix,
-                      omega2: Optional[SectionMatrix] = None) -> bool:
-    """True iff ᵗM·Ω'·M = Ω entrywise-exactly (Ω' defaults to Ω)."""
-    target = omega if omega2 is None else omega2
-    if M.rows != M.cols or M.rows != omega.rows or target.rows != M.rows:
+def is_symplectic_map(M: SectionMatrix, omega: SectionMatrix) -> bool:
+    """True iff ᵗM·Ω·M = Ω entrywise-exactly."""
+    if M.rows != M.cols or M.rows != omega.rows:
         raise DimensionMismatch("map and form dimensions disagree")
-    if M.domain != omega.domain or M.domain != target.domain:
+    if M.domain != omega.domain:
         raise DimensionMismatch("map and form over different open sets")
-    return M.transpose() @ target @ M == omega
+    return M.transpose() @ omega @ M == omega
 
 
 @dataclass(frozen=True)
@@ -283,19 +281,11 @@ def random_symplectic(domain: OpenSet, m: int, rng: random.Random,
 
 def hyperbolic_sum_form(domain: OpenSet, n: int) -> SectionMatrix:
     """Gram matrix of ω((s₁,α₁),(s₂,α₂)) = α₂(s₁) − α₁(s₂) on A^n ⊕ (A^n)*,
-    evaluated on the gauge basis (e₁..e_n; ε¹*..εⁿ*)."""
+    evaluated on the gauge basis (e₁..e_n; ε¹*..εⁿ*): ω(eᵢ, εʲ*) = δᵢⱼ, so it
+    is the standard J of rank 2n."""
     if n < 1:
         raise DimensionMismatch("hyperbolic sum needs rank at least 1")
-
-    def pairing(u, v):
-        # u, v are coordinate tuples (s-part | α-part) of length 2n
-        a = sum(Fraction(v[n + j]) * Fraction(u[j]) for j in range(n))
-        b = sum(Fraction(u[n + j]) * Fraction(v[j]) for j in range(n))
-        return a - b
-
-    gauge = [[1 if k == i else 0 for k in range(2 * n)] for i in range(2 * n)]
-    return SectionMatrix(domain, [[pairing(gauge[i], gauge[j]) for j in range(2 * n)]
-                                  for i in range(2 * n)])
+    return standard_J(domain, n)
 
 
 # -- volume and orientation -----------------------------------------------------------------

@@ -212,8 +212,8 @@ def test_criterion_7_exterior_algebra_laws():
         w = alphas[0]
         for a in alphas[1:]:
             w = wedge(w, a)
-        pairing = [[a.evaluate([s]).values[0] for s in args] for a in alphas]
-        assert w.evaluate(args).values[0] == cofactor_det(pairing)
+        pairing = [[a.evaluate([s]).stalks[0] for s in args] for a in alphas]
+        assert w.evaluate(args).stalks[0] == cofactor_det(pairing)
     report_line(7, "exterior-algebra-laws", started, 10)
 
 

@@ -64,13 +64,13 @@ def test_polynomial_degree_and_monic():
 
 def test_charpoly_zero_matrix():
     p = char_poly(SectionMatrix.zeros(PT, 2, 2))
-    assert [c.values[0] for c in p.coeffs] == [0, 0, 1]  # t²
+    assert [c.stalks[0] for c in p.coeffs] == [0, 0, 1]  # t²
 
 
 def test_charpoly_rotation():
     p = char_poly(SectionMatrix(PT, [[0, 1], [-1, 0]]))
-    assert [c.values[0] for c in p.coeffs] == [1, 0, 1]  # t² + 1
-    assert [c.values[0] for c in p.coeffs] == charpoly_cofactor([[F(0), F(1)], [F(-1), F(0)]])
+    assert [c.stalks[0] for c in p.coeffs] == [1, 0, 1]  # t² + 1
+    assert [c.stalks[0] for c in p.coeffs] == charpoly_cofactor([[F(0), F(1)], [F(-1), F(0)]])
 
 
 def test_charpoly_non_constant_diagonal():
@@ -101,9 +101,9 @@ def test_charpoly_monic_trace_det_identities():
         assert p.coeffs[n - 1] == -m.trace()
         det, _ = determinant_adjugate(m)
         assert p.coeffs[0] == det * ((-1) ** n)
-        assert [c.values[0] for c in p.coeffs] == charpoly_cofactor(m.at_point("x"))
+        assert [c.stalks[0] for c in p.coeffs] == charpoly_cofactor(m.at_point("x"))
     empty = char_poly(SectionMatrix.zeros(PT, 0, 0))  # det of the 0×0 matrix tI is 1
-    assert [c.values[0] for c in empty.coeffs] == charpoly_cofactor([]) == [1]
+    assert [c.stalks[0] for c in empty.coeffs] == charpoly_cofactor([]) == [1]
 
 
 def test_charpoly_restriction_compatible():
@@ -122,7 +122,7 @@ def test_charpoly_on_empty_open_keeps_degree():
     m = SectionMatrix.zeros(sp.empty, 2, 2)
     p = char_poly(m)
     assert p.degree == 2 and p.is_monic() and p.stalks == ()
-    assert len(p.coeffs) == 3 and all(c.values == () for c in p.coeffs)
+    assert len(p.coeffs) == 3 and all(c.stalks == () for c in p.coeffs)
     assert cayley_hamilton_check(m, p).is_zero()
     report = reciprocal_spectrum_check(m)
     assert report.palindromic and report.spectrum_closed and report.spectra == {}
@@ -166,7 +166,7 @@ def test_poly_apply_module_action_is_horner():
 def test_cayley_hamilton_shear():
     m = SectionMatrix(PT, [[1, 1], [0, 1]])
     p = char_poly(m)
-    assert [c.values[0] for c in p.coeffs] == [1, -2, 1]  # (t−1)²
+    assert [c.stalks[0] for c in p.coeffs] == [1, -2, 1]  # (t−1)²
     assert cayley_hamilton_check(m, char_poly(m)).is_zero()
 
 
@@ -222,7 +222,7 @@ def test_eigen_diagonal():
     m = SectionMatrix(PT, [[2, 0], [0, 3]])
     report = eigen_sections(m)
     assert not report.omitted_points
-    assert [(p.lam.values[0], tuple(e.values[0] for e in p.vector.entries))
+    assert [(p.lam.stalks[0], tuple(e.stalks[0] for e in p.vector.entries))
             for p in report.pairs] == [(F(2), (F(1), F(0))), (F(3), (F(0), F(1)))]
 
 
@@ -297,6 +297,33 @@ def test_eigen_glue_incompatible_on_overlap():
     assert err.value.witness["overlap"] == ("b",)
 
 
+def test_eigen_glue_witness_names_both_restrictions():
+    sp = validate_topology(["a", "b", "c"],
+                           [[], ["b"], ["a", "b"], ["b", "c"], ["a", "b", "c"]])
+    U = sp.whole
+    cover = [sp.open_set(["a", "b"]), sp.open_set(["b", "c"])]
+    overlap = cover[0].intersection(cover[1])
+    # eigenvalues agree, eigenvectors do not
+    vectors = [SectionVector(cover[0], [StructureSection.from_mapping(cover[0], {"a": 1, "b": 1})]),
+               SectionVector(cover[1], [StructureSection.from_mapping(cover[1], {"b": 2, "c": 2})])]
+    with pytest.raises(IncompatibleFamily) as err:
+        eigen_presheaf_glue(SectionMatrix.identity(U, 1).scale(3), cover,
+                            [EigenPair(StructureSection.constant(V, 3), v)
+                             for V, v in zip(cover, vectors)])
+    witness = err.value.witness
+    assert witness["members"] == (("a", "b"), ("b", "c")) and witness["overlap"] == ("b",)
+    assert witness["left"] == vectors[0].restrict(overlap)
+    assert witness["right"] == vectors[1].restrict(overlap)
+    # eigenvalues disagree: they are glued first
+    pairs = [EigenPair(StructureSection.constant(cover[0], 2), SectionVector(cover[0], [1, 0])),
+             EigenPair(StructureSection.constant(cover[1], 3), SectionVector(cover[1], [0, 1]))]
+    with pytest.raises(IncompatibleFamily) as err:
+        eigen_presheaf_glue(SectionMatrix(U, [[2, 0], [0, 3]]), cover, pairs)
+    witness = err.value.witness
+    assert witness["left"] == StructureSection.constant(overlap, 2)
+    assert witness["right"] == StructureSection.constant(overlap, 3)
+
+
 def test_eigen_glue_single_member_cover():
     m = SectionMatrix(PT, [[2, 0], [0, 3]])
     pair = eigen_sections(m).pairs[0]
@@ -334,7 +361,7 @@ def test_reciprocity_diag_example():
     m = SectionMatrix(PT, [[2, 0], [0, F(1, 2)]])
     report = reciprocal_spectrum_check(m)
     assert report.palindromic and report.spectrum_closed
-    assert [c.values[0] for c in report.char.coeffs] == [1, F(-5, 2), 1]
+    assert [c.stalks[0] for c in report.char.coeffs] == [1, F(-5, 2), 1]
     assert report.spectra["x"] == (F(1, 2), F(2))
 
 
@@ -343,7 +370,7 @@ def test_reciprocity_identity():
     report = reciprocal_spectrum_check(m)
     assert report.palindromic and report.spectrum_closed
     # (t−1)⁴ reversed is itself
-    assert [c.values[0] for c in report.char.coeffs] == [1, -4, 6, -4, 1]
+    assert [c.stalks[0] for c in report.char.coeffs] == [1, -4, 6, -4, 1]
 
 
 def test_reciprocity_random_transvection_products():
@@ -353,7 +380,7 @@ def test_reciprocity_random_transvection_products():
         report = reciprocal_spectrum_check(m)
         assert report.palindromic
         # reversal oracle: coefficient list reversed equals itself
-        coeffs = [c.values[0] for c in report.char.coeffs]
+        coeffs = [c.stalks[0] for c in report.char.coeffs]
         assert coeffs == coeffs[::-1]
         assert report.spectrum_closed
 

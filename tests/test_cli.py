@@ -32,8 +32,10 @@ CASES = [
     ("charpoly", "rect", 1),
     ("charpoly", "malformed", 2),
     ("charpoly", "zero_denominator", 2),
+    ("charpoly", "not_rational", 2),
     ("charpoly", "ragged_rows", 2),
     ("charpoly", "open_not_open", 2),
+    ("charpoly", "open_not_array", 2),
     ("charpoly", "section_open_unknown", 2),
     ("charpoly", "section_open_mismatch", 2),
     ("charpoly", "empty_open", 0),
@@ -47,6 +49,9 @@ CASES = [
     ("sheaf-check", "cover_not_open", 2),
     ("sheaf-check", "presheaf_kind_unknown", 2),
     ("sheaf-check", "grid_not_rational", 2),
+    ("sheaf-check", "grid_not_array", 2),
+    ("sheaf-check", "cover_not_array", 2),
+    ("sheaf-check", "cover_member_not_array", 2),
     ("wedge", "wedge_basic", 0),
     ("wedge", "wedge_mismatch", 1),
     ("wedge", "malformed", 2),

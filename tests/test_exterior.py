@@ -56,7 +56,7 @@ def rand_form(rng, domain, rank, degree, holes=False):
         s = rand_section(rng, domain)
         if not holes:
             return s
-        return StructureSection(domain, [v if rng.random() < 2 / 3 else 0 for v in s.values])
+        return StructureSection(domain, [v if rng.random() < 2 / 3 else 0 for v in s.stalks])
     coeffs = {idx: coefficient() for idx in combinations(range(rank), degree)}
     return KForm(domain, rank, degree, coeffs)
 

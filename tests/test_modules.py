@@ -97,7 +97,7 @@ def test_laplace_identity_against_cofactor_oracle():
     for _ in range(10):
         m = rand_matrix(rng, PT, 4, 4)
         det, adj = determinant_adjugate(m)
-        assert det.values[0] == cofactor_det(m.at_point("x"))
+        assert det.stalks[0] == cofactor_det(m.at_point("x"))
         n = m.rows
         det_id = SectionMatrix.identity(PT, n).scale(det)
         assert m @ adj == det_id and adj @ m == det_id

@@ -1,23 +1,26 @@
 """Presheaf axioms S1/S2, sheafification, stalks, gluing."""
 
+import random
 import time
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from sympsheaf import (
     ConstantPresheaf,
     FunctionPresheaf,
+    GermSampledPresheaf,
     KForm,
+    SectionVector,
     StructureSection,
     check_completeness,
     discrete,
     enumerate_topologies,
-    glue_sections,
     glue_stalkwise,
     is_open_cover,
     minimal_cover,
+    minimal_open_neighborhood,
     sheafify_sections,
     sierpinski,
     stalk_at,
@@ -206,7 +209,7 @@ def test_glue_sections_roundtrip():
     U = sp.open_set(["a", "b"])
     cover = [sp.open_set(["a"]), sp.open_set(["a", "b"])]
     s = StructureSection.from_mapping(U, {"a": F(1, 3), "b": 7})
-    glued = glue_sections(U, cover, [s.restrict(cover[0]), s.restrict(cover[1])])
+    glued = glue_stalkwise(U, cover, [s.restrict(cover[0]), s.restrict(cover[1])])
     assert glued == s
     form = KForm(U, 3, 2, {(0, 1): s, (1, 2): StructureSection.from_mapping(U, {"a": 0, "b": 2})})
     assert glue_stalkwise(U, cover, [form.restrict(V) for V in cover]) == form
@@ -220,10 +223,60 @@ def test_glue_incompatible_family_witness():
     left = StructureSection.from_mapping(cover[0], {"a": 1, "b": 1})
     right = StructureSection.from_mapping(cover[1], {"b": 2, "c": 2})
     with pytest.raises(IncompatibleFamily) as err:
-        glue_sections(U, cover, [left, right])
+        glue_stalkwise(U, cover, [left, right])
     assert err.value.witness["overlap"] == ("b",)
     forms = [KForm(V, 2, 1, {(0,): s}) for V, s in zip(cover, (left, right))]
     with pytest.raises(IncompatibleFamily) as err:
         glue_stalkwise(U, cover, forms)
     assert err.value.witness["overlap"] == ("b",)
     assert err.value.witness["left"] == forms[0].restrict(cover[0].intersection(cover[1]))
+
+
+def germ_brute_force(presheaf, U):
+    """Every pointwise merge of the samples over U, kept when its germ on the
+    minimal open neighborhood of each point of U is the germ of a sample."""
+    space, first = presheaf.space, presheaf.samples[0]
+    nbhds = [minimal_open_neighborhood(space, p) for p in U.labels]
+    germs = {V.mask: {s.restrict(V) for s in presheaf.samples} for V in nbhds}
+    kept = set()
+    for pick in product(presheaf.samples, repeat=U.size):
+        merged = first.from_stalks(U, *first.shape, [s.stalks[space.whole.position(p)]
+                                                     for s, p in zip(pick, U.labels)])
+        if all(merged.restrict(V) in germs[V.mask] for V in nbhds):
+            kept.add(merged)
+    return kept
+
+
+@pytest.mark.parametrize("kind", [StructureSection, SectionVector])
+def test_germ_carrier_is_the_merged_germs(kind):
+    rng = random.Random(21)
+    for points in (["a", "b"], ["a", "b", "c"]):
+        for sp in enumerate_topologies(points):
+            def sample():
+                rows = [[rng.randint(0, 2) for _ in points] for _ in range(2)]
+                if kind is StructureSection:
+                    return StructureSection(sp.whole, rows[0])
+                return SectionVector(sp.whole, [StructureSection(sp.whole, r) for r in rows])
+
+            samples = [sample() for _ in range(3)]
+            presheaf = GermSampledPresheaf(sp, samples + samples[:1])  # a repeated sample
+            for U in sp.all_opens():
+                carrier = presheaf.sections(U)
+                assert len(carrier) == len(set(carrier)), (sp, U)
+                assert set(carrier) == germ_brute_force(presheaf, U), (sp, U)
+
+
+def test_germ_carrier_scales_on_a_star():
+    # a is open and the minimal neighborhood of each leaf is {a, leaf}; six
+    # samples distinct at a glue only to themselves, where merging point by
+    # point would try 6**9 candidates
+    leaves = [f"l{i}" for i in range(8)]
+    sp = validate_topology(["a", *leaves], [[]] + [["a", *c] for r in range(9)
+                                                   for c in combinations(leaves, r)])
+    rng = random.Random(22)
+    samples = [StructureSection(sp.whole, [k] + [rng.randint(-2, 2) for _ in leaves])
+               for k in range(6)]
+    start = time.perf_counter()
+    carrier = GermSampledPresheaf(sp, samples).sections(sp.whole)
+    assert time.perf_counter() - start < 2
+    assert len(carrier) == 6 and set(carrier) == set(samples)

@@ -33,7 +33,16 @@ def test_restrict_examples():
     assert s.restrict(sp.open_set(["a"])).as_mapping() == {"a": F(1)}
     assert s.restrict(U) == s
     empty = s.restrict(sp.empty)
-    assert empty.values == () and empty == StructureSection.zero(sp.empty)
+    assert empty.stalks == () and empty == StructureSection.zero(sp.empty)
+
+
+def test_from_stalks_roundtrip():
+    sp = chain_space()
+    rng = random.Random(9)
+    for U in sp.all_opens():
+        s = rand_section(rng, U)
+        assert StructureSection.from_stalks(U, s.stalks) == s
+        assert hash(StructureSection.from_stalks(U, s.stalks)) == hash(s)
 
 
 def test_restrict_requires_subset():
@@ -98,7 +107,7 @@ def test_inverse_positive_section_condition():
     sp = sierpinski()
     rng = random.Random(3)
     for _ in range(25):
-        s = StructureSection(sp.whole, [abs(rand_section(rng, sp.whole).values[i]) + 1
+        s = StructureSection(sp.whole, [abs(rand_section(rng, sp.whole).stalks[i]) + 1
                                         for i in range(2)])
         assert s.is_strictly_positive()
         assert s.is_unit()
@@ -143,7 +152,7 @@ def test_constructor_rejects_inexact_values():
         with pytest.raises(TypeError):
             StructureSection(U, [bad])
     assert StructureSection(U, ["1/3"]) == F(1, 3)
-    assert StructureSection(U, [F(2, 4)]).values == (F(1, 2),)
+    assert StructureSection(U, [F(2, 4)]).stalks == (F(1, 2),)
 
 
 # -- scalars: exact rationals -------------------------------------------------------

@@ -468,18 +468,6 @@ def test_nondegenerate_iff_top_power_unit():
 # -- Sp presheaf completeness -----------------------------------------------------------------
 
 
-def _matrix_merge(U, pick):
-    if not pick:
-        return SectionMatrix.zeros(U, 2, 2)
-    some = next(iter(pick.values()))
-    return SectionMatrix.from_point_data(U, some.rows, some.cols,
-                                         lambda p: pick[p].at_point(p))
-
-
-def _matrix_key(M):
-    return (M.domain.mask, M.entries)
-
-
 def test_sp_presheaf_completeness_on_small_sites():
     rng = random.Random(13)
     for sp in [sierpinski(), discrete(["a", "b"]),
@@ -490,7 +478,7 @@ def test_sp_presheaf_completeness_on_small_sites():
                                   ["a", "b", "c", "d"]])]:
         samples = [random_symplectic(sp.whole, 1, rng, section_valued=True)
                    for _ in range(3)]
-        presheaf = GermSampledPresheaf(sp, samples, _matrix_merge, _matrix_key)
+        presheaf = GermSampledPresheaf(sp, samples)
         J = {U.mask: standard_J(U, 1) for U in sp.all_opens()}
         for U in sp.all_opens():
             for M in presheaf.sections(U):
