@@ -5,7 +5,11 @@ Polynomial stores one coefficient tuple per point, like a section vector.
 The characteristic polynomial det(tI − M) is computed on the ℚ stalk at
 each point (Berkowitz's division-free method) and glued stalk by stalk;
 substitution, palindromy and root finding run on the stalks as well.
-Eigenvalues are exact rational roots of the pointwise polynomials;
+Berkowitz and Horner substitution run on the integer matrix D·M of
+`qlinalg.scaled`, and root finding on an integer polynomial, so the inner
+loops do no Fraction arithmetic.
+Eigenvalues are exact rational roots of the pointwise polynomials (Sturm
+bisection, polynomial in the bit length of the coefficients);
 per-point eigenpair choices are glued into sections deterministically
 (eigenvalues ascending, eigenvectors normalized to leading entry 1).
 """
@@ -14,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import zip_longest
+from math import gcd
+from operator import mul, ne
 from typing import Optional, Sequence
 
 from . import qlinalg
@@ -26,7 +32,7 @@ from .errors import (
     NotSquare,
     NotSymplectic,
 )
-from .modules import ZERO, SectionMatrix, SectionVector
+from .modules import SectionMatrix, SectionVector
 from .presheaf import glue_stalkwise
 from .sections import StructureSection
 from .site import OpenSet, require_open_cover
@@ -65,20 +71,23 @@ def qq_charpoly(mat: qlinalg.QMatrix) -> list[Fraction]:
     M = [[a, R], [C, M₁]], det(tI − M) is the product of the lower triangular
     Toeplitz matrix with first column (1, −a, −RC, −RM₁C, …, −RM₁ⁿ⁻²C) and
     the coefficients of det(tI − M₁), leading coefficient first.  Running
-    from the bottom-right entry up takes O(n⁴) field operations.
+    from the bottom-right entry up takes O(n⁴) ring operations.  They run on
+    the integer matrix D·M, and c_k(M) = c_k(D·M)/Dⁿ⁻ᵏ.
     """
     n = len(mat)
-    p = [Fraction(1)]  # det(tI − M₁) for the trailing block, leading coefficient first
+    d, m = qlinalg.scaled(mat)
+    p = [1]  # det(tI − M₁) for the trailing block, leading coefficient first
     for i in reversed(range(n)):
-        row, column = mat[i][i + 1:], [r[i] for r in mat[i + 1:]]
-        block = [r[i + 1:] for r in mat[i + 1:]]
-        toeplitz = [Fraction(1), -mat[i][i]]
-        for _ in block:
-            toeplitz.append(-qlinalg.dot(row, column))
-            column = [qlinalg.dot(r, column) for r in block]
+        row, column = m[i][i + 1:], [r[i] for r in m[i + 1:]]
+        block = [r[i + 1:] for r in m[i + 1:]]
+        toeplitz = [1, -m[i][i]]
+        for k in range(len(block)):
+            if k:
+                column = [sum(map(mul, r, column)) for r in block]
+            toeplitz.append(-sum(map(mul, row, column)))
         p = [sum(toeplitz[j - l] * p[l] for l in range(min(j + 1, len(p))))
              for j in range(len(p) + 1)]
-    return p[::-1]
+    return [Fraction(c, d ** k) for k, c in enumerate(p)][::-1]
 
 
 def char_poly(M: SectionMatrix) -> Polynomial:
@@ -96,13 +105,21 @@ def char_poly(M: SectionMatrix) -> Polynomial:
 
 
 def _horner(coeffs: Sequence[Fraction], mat: qlinalg.QMatrix) -> qlinalg.QMatrix:
-    n = len(mat)
-    out = [[ZERO] * n for _ in range(n)]
-    for c in reversed(coeffs):
-        out = qlinalg.mat_mul(out, mat)
+    """Σ c_k·M^k = H/(e·D^deg) with H = Σ (e·c_k·D^{deg−k})·(D·M)^k, where e
+    clears the coefficient denominators; Horner's rule computes H in ints."""
+    n, deg = len(mat), len(coeffs) - 1
+    d, m = qlinalg.scaled(mat)
+    e, (ints,) = qlinalg.scaled([coeffs])
+    columns = list(zip(*m))
+    h = [[0] * n for _ in range(n)]
+    for k in range(deg, -1, -1):
+        if k < deg:
+            h = [[sum(map(mul, row, col)) for col in columns] for row in h]
+        c = ints[k] * d ** (deg - k)
         for i in range(n):
-            out[i][i] += c
-    return out
+            h[i][i] += c
+    denominator = e * d ** max(deg, 0)
+    return [[Fraction(x, denominator) for x in row] for row in h]
 
 
 def poly_apply(p: Polynomial, M: SectionMatrix) -> SectionMatrix:
@@ -130,45 +147,118 @@ def cayley_hamilton_check(M: SectionMatrix, p: Polynomial) -> SectionMatrix:
 # -- exact rational eigen-solves -----------------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its positive content; [] for the zero polynomial."""
+    while p and p[0] == 0:
+        p = p[1:]
+    g = gcd(*p)
+    return [x // g for x in p] if g > 1 else p
+
+
+def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of −(a mod b), primitive; polynomials over ℤ,
+    highest degree first, b nonzero.  Pseudo-division by b multiplies the
+    remainder by lc(b) at each step, whose sign is tracked."""
+    r, lead, sign = list(a), b[0], -1
+    while len(r) >= len(b):
+        if r[0]:
+            r = [lead * x - r[0] * y for x, y in zip_longest(r, b, fillvalue=0)]
+            sign = -sign if lead < 0 else sign
+        r = r[1:]
+    return [sign * x for x in _primitive(r)]
+
+
+def _value(p: list[int], x: int) -> int:
+    acc = 0
+    for c in p:
+        acc = acc * x + c
+    return acc
+
+
+def _sturm_chain(g: list[int]) -> list[list[int]]:
+    """g, g′ and the negated remainders after them, each primitive."""
+    n = len(g) - 1
+    chain = [g, _primitive([c * (n - i) for i, c in enumerate(g[:-1])])]
+    while len(chain[-1]) > 1:
+        nxt = _negated_remainder(chain[-2], chain[-1])
+        if not nxt:
+            break
+        chain.append(nxt)
+    return chain
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for b with leading coefficient ±1 dividing a in ℤ[t]."""
+    r, q = list(a), []
+    while len(r) >= len(b):
+        c = r[0] * b[0]  # b[0] = ±1 is its own inverse
+        q.append(c)
+        r = [x - c * y for x, y in zip(r[1:], b[1:])] + r[len(b):]
+    return q
+
+
+def _integer_roots(chain: list[list[int]]) -> list[int]:
+    """Integer roots of g = chain[0], square-free over ℤ with leading
+    coefficient ±1 and highest degree first, from its Sturm chain.
+
+    Sturm's theorem on integer intervals (lo, hi]: the sign variations V of
+    the chain give the number of distinct real roots there as V(lo) − V(hi),
+    also when lo or hi is a root.  Bisection starts from Fujiwara's bound
+    |z| ≤ 2·max |g_{n−k}|^{1/k}, rounded up to a power of two, keeps only the
+    intervals holding a root and tests g(hi) = 0 on unit intervals, so it
+    costs O(roots · bit length) chain evaluations.
+    """
+    g = chain[0]
+    bound = 2 << max((-(-abs(c).bit_length() // k) for k, c in enumerate(g[1:], 1)),
+                     default=0)
+    variations: dict[int, int] = {}
+
+    def var(x: int) -> int:
+        if x not in variations:
+            signs = [v > 0 for v in (_value(p, x) for p in chain) if v]
+            variations[x] = sum(map(ne, signs, signs[1:]))
+        return variations[x]
+
+    roots, todo = [], [(-bound - 1, bound)]
+    while todo:
+        lo, hi = todo.pop()
+        if var(lo) == var(hi):
+            continue
+        if hi - lo == 1:
+            if _value(g, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        todo += [(lo, mid), (mid, hi)]
+    return roots
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """Distinct rational roots of a nonzero ℚ polynomial, ascending.
 
-    Rational root theorem after clearing denominators: any root p/q in
-    lowest terms has p | constant term and q | leading coefficient.
+    The zero roots are split off and the denominators cleared, giving
+    f = Σ a_k t^k over ℤ with a₀ ≠ 0.  Substituting t = s/aₙ turns
+    aₙⁿ⁻¹·f into the monic g(s) = Σ a_k·aₙⁿ⁻¹⁻ᵏ·s^k, whose rational roots are
+    integers (rational root theorem).  They are isolated by Sturm bisection
+    on the square-free part g/gcd(g, g′), in time polynomial in the bit
+    length of the coefficients.
     """
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
         raise ValueError("zero polynomial has every rational as a root")
-
-    def value(x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    roots = set()
-    low = 0
-    while coeffs[low] == 0:
-        roots.add(Fraction(0))
-        low += 1
-    scale = lcm(*(c.denominator for c in coeffs)) if len(coeffs) > 1 else coeffs[0].denominator
-    ints = [int(c * scale) for c in coeffs[low:]]
-    a0, an = ints[0], ints[-1]
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            if gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and value(cand) == 0:
-                    roots.add(cand)
+    low = next(k for k, c in enumerate(coeffs) if c != 0)
+    roots = [Fraction(0)] if low else []
+    _, (a,) = qlinalg.scaled([coeffs[low:]])
+    n, an = len(a) - 1, a[-1]
+    if n == 0:
+        return roots
+    g = [1] + [a[k] * an ** (n - 1 - k) for k in reversed(range(n))]
+    chain = _sturm_chain(g)
+    if len(chain[-1]) > 1:  # gcd(g, g′) of positive degree: keep the square-free part
+        chain = _sturm_chain(_exact_quotient(g, chain[-1]))
+    roots += [Fraction(s, an) for s in _integer_roots(chain)]
     return sorted(roots)
 
 
@@ -247,6 +337,8 @@ def eigen_presheaf_glue(M: SectionMatrix, cover: Sequence[OpenSet],
             raise ValueError(f"not an eigenpair of M over {V}")
         if not pair.vector.is_nowhere_zero():
             raise ValueError(f"eigenvector vanishes at a point of {V}")
+    if not cover:  # the empty cover of U = ∅ glues to the one eigenpair over ∅
+        return EigenPair(StructureSection(U, []), SectionVector.from_stalks(U, M.rows, []))
     lam = glue_stalkwise(U, cover, [p.lam for p in pairs])
     vec = glue_stalkwise(U, cover, [p.vector for p in pairs])
     if (M @ vec) != vec.scale(lam):

@@ -41,6 +41,8 @@ SUBCOMMANDS = ("darboux", "normal-form", "check-symplectic", "charpoly",
 def _load_problem(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         problem = json.load(fh)
+    if not isinstance(problem, dict):
+        raise MalformedInput("problem: not a JSON object")
     space = jsonio.space_from_json(problem["space"])
     open_labels = problem.get("open")
     U = space.whole if open_labels is None else jsonio.open_from_json(space, open_labels, "open")
@@ -80,6 +82,9 @@ def _run_check_symplectic(problem, space, U, seed):
     M = jsonio.matrix_from_json(U, problem["matrix"])
     if "form" in problem:
         omega = jsonio.matrix_from_json(U, problem["form"], "form")
+        if omega.rows != M.rows or omega.cols != M.rows:
+            raise MalformedInput(f"form: {omega.rows}x{omega.cols} where the matrix "
+                                 f"has {M.rows} rows; the form must be {M.rows}x{M.rows}")
     else:
         if M.rows % 2:
             raise AlgebraError("no reference form given and the rank is odd")

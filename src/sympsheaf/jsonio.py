@@ -94,8 +94,12 @@ def matrix_to_json(m: SectionMatrix) -> list:
     return [[entry_to_json(e) for e in row] for row in m.entries]
 
 
-def matrix_from_json(domain: OpenSet, obj: Sequence, field: str = "matrix") -> SectionMatrix:
+def matrix_from_json(domain: OpenSet, obj: Any, field: str = "matrix") -> SectionMatrix:
+    if not isinstance(obj, list):
+        raise MalformedInput(f"{field}: not an array of arrays: {obj!r}")
     for i, row in enumerate(obj):
+        if not isinstance(row, list):
+            raise MalformedInput(f"{field}[{i}]: not an array: {row!r}")
         if len(row) != len(obj[0]):
             raise MalformedInput(f"{field}[{i}]: {len(row)} entries where row 0 has {len(obj[0])}")
     return SectionMatrix(domain, [[section_from_json(domain, e, f"{field}[{i}][{j}]")

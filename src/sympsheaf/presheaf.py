@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Any, Sequence
 
-from .errors import IncompatibleFamily, NonEnumerableSections
+from .errors import DimensionMismatch, IncompatibleFamily, NonEnumerableSections
 from .sections import StructureSection, _Stalkwise
 from .site import (FiniteSpace, OpenSet, minimal_cover, minimal_open_neighborhood,
                    require_open_cover)
@@ -251,9 +251,14 @@ def glue_stalkwise(U: OpenSet, cover: Sequence[OpenSet], parts: Sequence[_Stalkw
     """Glue a compatible family of sections, vectors, matrices, polynomials or
     k-forms of one shape over a cover of U, taking each point's stalk from the
     first member that contains it.  Raises IncompatibleFamily with the first
-    disagreeing overlap, the two members and their restrictions to it."""
+    disagreeing overlap, the two members and their restrictions to it, and
+    DimensionMismatch unless there is one part per member: the empty family
+    (on the empty cover of U = ∅) has no member to take the shape from."""
     cover = list(cover)
     require_open_cover(U, cover)
+    if len(parts) != len(cover) or not parts:
+        raise DimensionMismatch(
+            f"{len(parts)} parts for {len(cover)} cover members; one each, at least one")
     for (i, V), (j, W) in combinations(enumerate(cover), 2):
         o = V.intersection(W)
         if not o.mask:

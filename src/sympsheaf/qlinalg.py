@@ -4,11 +4,17 @@ These are the stalk-level kernels: every pointwise computation on section
 matrices (products, determinants, ranks, kernels, symplectic reduction)
 bottoms out here.  Matrices are sequences of rows of Fractions: the kernels
 accept list or tuple rows, return list rows and never mutate an argument.
+
+The hot kernels (products and determinants here, characteristic polynomials
+and their substitution in `charpoly`) run on Python ints: `scaled` writes a
+stalk M as D·M, an integer matrix over one common denominator D, the loops
+stay in ℤ, and the denominator is restored once per output entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 QMatrix = list  # list[list[Fraction]]; tuple rows are accepted as input
@@ -19,13 +25,22 @@ def copy(m: QMatrix) -> QMatrix:
     return [list(row) for row in m]
 
 
+def scaled(m: QMatrix) -> tuple[int, list[list[int]]]:
+    """(D, D·m): the lcm D of the entry denominators and the integer matrix
+    D·m, with list rows.  Entries may be Fractions or ints."""
+    d = lcm(*(x.denominator for row in m for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
+
+
 def dot(u, v) -> Fraction:
     return sum(map(mul, u, v), Fraction(0))
 
 
 def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
-    columns = list(zip(*b))
-    return [[dot(row, col) for col in columns] for row in a]
+    """a·b as (Da·a)(Db·b)/(Da·Db): an integer product, one Fraction per entry."""
+    (da, ia), (db, ib) = scaled(a), scaled(b)
+    d, columns = da * db, list(zip(*ib))
+    return [[Fraction(sum(map(mul, row, col)), d) for col in columns] for row in ia]
 
 
 def transpose(a: QMatrix) -> QMatrix:
@@ -33,13 +48,13 @@ def transpose(a: QMatrix) -> QMatrix:
 
 
 def det_bareiss(a: QMatrix) -> Fraction:
-    """Fraction-free style Gaussian determinant (exact, O(n^3))."""
+    """det(a) = det(D·a)/Dⁿ, with det(D·a) by Bareiss's fraction-free
+    elimination on ints, whose divisions are exact (O(n³))."""
     n = len(a)
     if n == 0:
         return Fraction(1)
-    m = copy(a)
-    sign = 1
-    prev = Fraction(1)
+    d, m = scaled(a)
+    sign, prev = 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -49,11 +64,13 @@ def det_bareiss(a: QMatrix) -> Fraction:
                     break
             else:
                 return Fraction(0)
+        pivot_row, pivot = m[k][k + 1:], m[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            row, lead = m[i], m[i][k]
+            row[k + 1:] = [(x * pivot - lead * y) // prev
+                           for x, y in zip(row[k + 1:], pivot_row)]
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1], d ** n)
 
 
 def adjugate(a: QMatrix) -> QMatrix:

@@ -4,7 +4,8 @@ Everything here works on plain lists of Fractions and deliberately avoids
 the code paths under test: determinants by Laplace cofactor expansion,
 characteristic polynomials by cofactor expansion over ℚ[t], wedge
 evaluation by the full permutation sum with the (1/k!l!) normalization,
-congruence by direct triple products.
+congruence by direct triple products, matrix polynomials by Horner's rule
+on Fractions, rational roots by trial division.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 from sympsheaf import SectionMatrix, SectionVector, StructureSection
 
@@ -45,6 +46,44 @@ def cofactor_det(rows) -> Fraction:
 def qq_matmul(a, b):
     return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
              for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def horner_apply(coeffs, rows):
+    """Σ c_k·M^k (coefficients constant first) by Horner's rule on Fractions."""
+    n = len(rows)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        out = qq_matmul(out, rows) if n else []
+        for i in range(n):
+            out[i][i] += c
+    return out
+
+
+def rational_roots_brute(coeffs) -> list[Fraction]:
+    """Distinct rational roots, ascending, by the rational root theorem: every
+    ±p/q with p | a₀ and q | aₙ after clearing denominators and splitting off
+    the zero roots, with p and q found by trial division."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+
+    def value(x):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    def divisors(k):
+        return [d for d in range(1, abs(k) + 1) if k % d == 0]
+
+    low = next(k for k, c in enumerate(coeffs) if c != 0)
+    roots = {Fraction(0)} if low else set()
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs[low:]]
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            roots.update(x for x in (Fraction(p, q), Fraction(-p, q)) if value(x) == 0)
+    return sorted(roots)
 
 
 def qq_transpose(a):

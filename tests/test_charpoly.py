@@ -30,6 +30,7 @@ from sympsheaf import (
 )
 from sympsheaf.errors import (
     DegreeTooLarge,
+    DimensionMismatch,
     DomainMismatch,
     IncompatibleFamily,
     NotSquare,
@@ -329,6 +330,16 @@ def test_eigen_glue_single_member_cover():
     pair = eigen_sections(m).pairs[0]
     glued = eigen_presheaf_glue(m, [PT], [pair])
     assert glued.lam == pair.lam and glued.vector == pair.vector
+
+
+def test_eigen_glue_empty_cover_of_the_empty_open():
+    empty = sierpinski().empty
+    m = SectionMatrix(empty, [[2, 0, 0], [0, 3, 0], [0, 0, 4]])
+    glued = eigen_presheaf_glue(m, [], [])
+    assert glued.lam == StructureSection(empty, [])
+    assert glued.vector == SectionVector.from_stalks(empty, 3, [])
+    with pytest.raises(DimensionMismatch):
+        eigen_presheaf_glue(m, [], [EigenPair(glued.lam, glued.vector)])
 
 
 def test_eigen_glue_rejects_non_eigenpair():

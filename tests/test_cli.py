@@ -28,6 +28,7 @@ CASES = [
     ("check-symplectic", "shear", 0),
     ("check-symplectic", "scale2", 1),
     ("check-symplectic", "malformed", 2),
+    ("check-symplectic", "form_not_square", 2),
     ("charpoly", "rot", 0),
     ("charpoly", "rect", 1),
     ("charpoly", "malformed", 2),
@@ -39,9 +40,13 @@ CASES = [
     ("charpoly", "section_open_unknown", 2),
     ("charpoly", "section_open_mismatch", 2),
     ("charpoly", "empty_open", 0),
+    ("charpoly", "matrix_not_array", 2),
+    ("charpoly", "matrix_row_not_array", 2),
+    ("charpoly", "problem_not_object", 2),
     ("eigen", "eigen_sections", 0),
     ("eigen", "rect", 1),
     ("eigen", "malformed", 2),
+    ("eigen", "eigen_large_spectrum", 0),
     ("sheaf-check", "sheaf_functions", 0),
     ("sheaf-check", "constant_presheaf", 1),
     ("sheaf-check", "malformed", 2),

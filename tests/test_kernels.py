@@ -1,0 +1,191 @@
+"""The integer stalk kernels against the Fraction oracles.
+
+`qlinalg.mat_mul`, `qlinalg.det_bareiss`, `charpoly.qq_charpoly` and the
+Horner substitution behind `poly_apply` run on D·M over ints; here they must
+equal plain-Fraction computations on random matrices of size 0…8 with mixed
+denominators and singular rows, and on smaller ones with 80–100-bit
+entries, where the exponential oracles allow.  `rational_roots` (Sturm
+bisection) must equal the trial-division oracle, and must solve planted 8×8
+spectra of 20-digit rationals quickly.
+"""
+
+import random
+import time
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sympsheaf import SectionMatrix, eigen_sections, point_space, rational_roots
+from sympsheaf.charpoly import _horner, qq_charpoly
+from sympsheaf.qlinalg import det_bareiss, mat_mul, scaled
+
+from oracles import (
+    charpoly_cofactor,
+    cofactor_det,
+    horner_apply,
+    qq_matmul,
+    rational_roots_brute,
+)
+
+PT = point_space().whole
+
+
+def mixed(rng):
+    return F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 5, 7, 9)))
+
+
+def big(rng):
+    bits = rng.randint(80, 100)
+    return F(rng.getrandbits(bits) - (1 << (bits - 1)), rng.getrandbits(bits) | 1)
+
+
+def matrix(rng, n, cols=None, entry=mixed, singular=False):
+    m = [[entry(rng) for _ in range(n if cols is None else cols)] for _ in range(n)]
+    if singular and n > 1:  # the last row is a combination of the others
+        c = [entry(rng) for _ in range(n - 1)]
+        m[-1] = [sum((ci * row[j] for ci, row in zip(c, m)), F(0)) for j in range(len(m[0]))]
+    return m
+
+
+def cases(max_big):
+    """(n, entry, singular) for n = 0…8 with mixed denominators, singular
+    at every size, and 80–100-bit entries up to size max_big."""
+    return ([(n, mixed, s) for n in range(9) for s in (False, True)]
+            + [(n, big, s) for n in range(max_big + 1) for s in (False, True)])
+
+
+def test_scaled_is_the_common_denominator():
+    d, ints = scaled([[F(1, 6), F(-3, 4)], [2, F(0)]])
+    assert (d, ints) == (12, [[2, -9], [24, 0]])
+    assert scaled([]) == (1, [])
+
+
+@pytest.mark.parametrize("n,entry,singular", cases(8))
+def test_mat_mul_matches_fraction_product(n, entry, singular):
+    rng = random.Random(f"mul{n}{entry.__name__}{singular}")
+    a = matrix(rng, n, 3, entry)
+    b = matrix(rng, 3, n, entry)
+    c = matrix(rng, n, entry=entry, singular=singular)
+    assert mat_mul(a, b) == qq_matmul(a, b)
+    if n:
+        assert mat_mul(c, c) == qq_matmul(c, c)
+        assert mat_mul(b, a) == qq_matmul(b, a)
+
+
+@pytest.mark.parametrize("n,entry,singular", cases(6))
+def test_det_bareiss_matches_cofactor_expansion(n, entry, singular):
+    rng = random.Random(f"det{n}{entry.__name__}{singular}")
+    m = matrix(rng, n, entry=entry, singular=singular)
+    det = det_bareiss(m)
+    assert det == cofactor_det(m)
+    assert type(det) is F
+    if singular and n > 1:
+        assert det == 0
+
+
+@pytest.mark.parametrize("n,entry,singular",
+                         [c for c in cases(5) if c[0] < 8 or not c[2]])
+def test_qq_charpoly_matches_cofactor_expansion(n, entry, singular):
+    rng = random.Random(f"charpoly{n}{entry.__name__}{singular}")
+    m = matrix(rng, n, entry=entry, singular=singular)
+    assert qq_charpoly(m) == charpoly_cofactor(m)
+
+
+@pytest.mark.parametrize("n,entry,singular", cases(6))
+def test_horner_matches_fraction_horner(n, entry, singular):
+    rng = random.Random(f"horner{n}{entry.__name__}{singular}")
+    m = matrix(rng, n, entry=entry, singular=singular)
+    coeffs = [entry(rng) for _ in range(rng.randint(1, 5))]
+    assert _horner(coeffs, m) == horner_apply(coeffs, m)
+    assert _horner([], m) == horner_apply([], m)
+    assert _horner(qq_charpoly(m), m) == [[0] * n for _ in range(n)]  # Cayley–Hamilton
+
+
+# -- rational roots --------------------------------------------------------------
+
+
+def times_linear(p, root):
+    """The coefficients (constant first) of p·(t − root)."""
+    shifted = [F(0)] + p
+    return [a - root * b for a, b in zip(shifted, p + [F(0)])]
+
+
+small_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots=st.lists(st.tuples(small_rationals, st.integers(1, 2)), max_size=3),
+       cofactor=st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+       lead=small_rationals.filter(bool))
+def test_rational_roots_matches_brute_force(roots, cofactor, lead):
+    """Planted roots with multiplicities (zero included) times an integer
+    cofactor, which may add irrational, repeated or more zero roots."""
+    p = [F(c) * lead for c in cofactor]
+    if not any(p):
+        p = [lead]
+    for root, multiplicity in roots:
+        for _ in range(multiplicity):
+            p = times_linear(p, root)
+    assert rational_roots(p) == rational_roots_brute(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=2, max_size=7).filter(lambda c: any(c[1:])))
+def test_rational_roots_of_random_integer_polynomials(coeffs):
+    assert rational_roots(coeffs) == rational_roots_brute(coeffs)
+
+
+def test_rational_roots_multiple_and_zero_roots():
+    p = [F(1)]
+    for root in (F(0), F(0), F(-2, 3), F(-2, 3), F(-2, 3), F(5), F(7, 2)):
+        p = times_linear(p, root)
+    assert rational_roots(p) == [F(-2, 3), F(0), F(7, 2), F(5)]
+    assert rational_roots([F(0), F(0), F(3)]) == [F(0)]
+    assert rational_roots([F(5)]) == []
+
+
+def test_rational_roots_of_a_large_constant_term():
+    """t² − a₀ with a₀ = (10²⁰ + 39)² and t² + 10³⁰: trial division up to
+    |a₀| would never return."""
+    r = 10 ** 20 + 39
+    assert rational_roots([F(-r * r), F(0), F(1)]) == [F(-r), F(r)]
+    assert rational_roots([F(10 ** 30), F(0), F(1)]) == []
+
+
+def planted_matrix(rng, eigenvalues, blocks):
+    """S·D·S⁻¹ with S unimodular and D block diagonal: the eigenvalues, then a
+    2×2 block with characteristic polynomial t² + c for each c in blocks."""
+    n = len(eigenvalues) + 2 * len(blocks)
+    D = [[F(0)] * n for _ in range(n)]
+    for i, lam in enumerate(eigenvalues):
+        D[i][i] = lam
+    for k, c in enumerate(blocks):
+        i = len(eigenvalues) + 2 * k
+        D[i][i + 1], D[i + 1][i] = F(-c), F(1)
+    S = [[F(i == j) for j in range(n)] for i in range(n)]
+    S_inv = [row[:] for row in S]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        S[i] = [x + c * y for x, y in zip(S[i], S[j])]
+        for row in S_inv:
+            row[j] -= c * row[i]
+    return qq_matmul(qq_matmul(S, D), S_inv)
+
+
+def twenty_digits(rng):
+    return F(rng.choice((-1, 1)) * rng.randint(10 ** 19, 10 ** 20), rng.randint(1, 10 ** 3))
+
+
+@pytest.mark.parametrize("seed,blocks", [(1, ()), (2, ()), (3, (7,)), (4, (10 ** 20 + 1,))])
+def test_eigen_planted_twenty_digit_spectra(seed, blocks):
+    rng = random.Random(seed)
+    eigenvalues = [twenty_digits(rng) for _ in range(8 - 2 * len(blocks))]
+    M = SectionMatrix(PT, planted_matrix(rng, eigenvalues, blocks))
+    assert max(abs(x.numerator) for row in M.stalks[0] for x in row) >= 10 ** 19
+    started = time.perf_counter()
+    report = eigen_sections(M)  # checks M·v = λ·v for every pair
+    elapsed = time.perf_counter() - started
+    assert [p.lam.stalks[0] for p in report.pairs] == sorted(eigenvalues)
+    assert elapsed < 5, f"8×8 planted spectrum took {elapsed:.2f}s"

@@ -26,7 +26,12 @@ from sympsheaf import (
     stalk_at,
     validate_topology,
 )
-from sympsheaf.errors import IncompatibleFamily, NonEnumerableSections, NotAnOpenCover
+from sympsheaf.errors import (
+    DimensionMismatch,
+    IncompatibleFamily,
+    NonEnumerableSections,
+    NotAnOpenCover,
+)
 from sympsheaf.presheaf import _compatible_families
 
 
@@ -213,6 +218,20 @@ def test_glue_sections_roundtrip():
     assert glued == s
     form = KForm(U, 3, 2, {(0, 1): s, (1, 2): StructureSection.from_mapping(U, {"a": 0, "b": 2})})
     assert glue_stalkwise(U, cover, [form.restrict(V) for V in cover]) == form
+
+
+def test_glue_needs_one_part_per_member():
+    sp = three_point_site()
+    U = sp.open_set(["a", "b"])
+    cover = [sp.open_set(["a"]), U]
+    s = StructureSection.from_mapping(U, {"a": 1, "b": 2})
+    with pytest.raises(DimensionMismatch):
+        glue_stalkwise(U, cover, [s.restrict(cover[0])])
+    with pytest.raises(DimensionMismatch):
+        glue_stalkwise(U, cover, [s.restrict(cover[0]), s, s])
+    # the empty family on the empty cover of ∅ has no member to take a shape from
+    with pytest.raises(DimensionMismatch):
+        glue_stalkwise(sierpinski().empty, [], [])
 
 
 def test_glue_incompatible_family_witness():
