@@ -3,11 +3,11 @@
 A polynomial over A(U) = ∏_{x∈U} ℚ is one ℚ polynomial per point, so a
 Polynomial stores one coefficient tuple per point, like a section vector.
 The characteristic polynomial det(tI − M) is computed on the ℚ stalk at
-each point (Berkowitz's division-free method) and glued stalk by stalk;
-substitution, palindromy and root finding run on the stalks as well.
-Berkowitz and Horner substitution run on the integer matrix D·M of
-`qlinalg.scaled`, and root finding on an integer polynomial, so the inner
-loops do no Fraction arithmetic.
+each point by `qlinalg.qq_charpoly` (Berkowitz's division-free method on
+the integer matrix D·M) and glued stalk by stalk; substitution runs
+`qlinalg._horner` (Horner's rule on D·M) at each point, and root finding
+works on an integer polynomial, so the inner loops do no Fraction
+arithmetic.
 Eigenvalues are exact rational roots of the pointwise polynomials (Sturm
 bisection, polynomial in the bit length of the coefficients);
 per-point eigenpair choices are glued into sections deterministically
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
-from operator import mul, ne
+from operator import ne
 from typing import Optional, Sequence
 
 from . import qlinalg
@@ -34,6 +34,7 @@ from .errors import (
 )
 from .modules import SectionMatrix, SectionVector
 from .presheaf import glue_stalkwise
+from .qlinalg import _horner, qq_charpoly
 from .sections import StructureSection
 from .site import OpenSet, require_open_cover
 from .symplectic import is_symplectic_map, standard_J
@@ -64,32 +65,6 @@ class Polynomial(SectionVector):
         return self.entries
 
 
-def qq_charpoly(mat: qlinalg.QMatrix) -> list[Fraction]:
-    """Coefficients of det(tI − M), constant term first, for a ℚ matrix.
-
-    Berkowitz's division-free method (Inf. Proc. Lett. 18:147, 1984): for
-    M = [[a, R], [C, M₁]], det(tI − M) is the product of the lower triangular
-    Toeplitz matrix with first column (1, −a, −RC, −RM₁C, …, −RM₁ⁿ⁻²C) and
-    the coefficients of det(tI − M₁), leading coefficient first.  Running
-    from the bottom-right entry up takes O(n⁴) ring operations.  They run on
-    the integer matrix D·M, and c_k(M) = c_k(D·M)/Dⁿ⁻ᵏ.
-    """
-    n = len(mat)
-    d, m = qlinalg.scaled(mat)
-    p = [1]  # det(tI − M₁) for the trailing block, leading coefficient first
-    for i in reversed(range(n)):
-        row, column = m[i][i + 1:], [r[i] for r in m[i + 1:]]
-        block = [r[i + 1:] for r in m[i + 1:]]
-        toeplitz = [1, -m[i][i]]
-        for k in range(len(block)):
-            if k:
-                column = [sum(map(mul, r, column)) for r in block]
-            toeplitz.append(-sum(map(mul, row, column)))
-        p = [sum(toeplitz[j - l] * p[l] for l in range(min(j + 1, len(p))))
-             for j in range(len(p) + 1)]
-    return [Fraction(c, d ** k) for k, c in enumerate(p)][::-1]
-
-
 def char_poly(M: SectionMatrix) -> Polynomial:
     """The characteristic polynomial section det(tI − M) ∈ A(U)[t].
 
@@ -102,24 +77,6 @@ def char_poly(M: SectionMatrix) -> Polynomial:
     if n > CHARPOLY_SIZE_CAP:
         raise DegreeTooLarge(f"characteristic polynomial capped at size {CHARPOLY_SIZE_CAP}")
     return Polynomial.from_stalks(M.domain, n + 1, map(qq_charpoly, M.stalks))
-
-
-def _horner(coeffs: Sequence[Fraction], mat: qlinalg.QMatrix) -> qlinalg.QMatrix:
-    """Σ c_k·M^k = H/(e·D^deg) with H = Σ (e·c_k·D^{deg−k})·(D·M)^k, where e
-    clears the coefficient denominators; Horner's rule computes H in ints."""
-    n, deg = len(mat), len(coeffs) - 1
-    d, m = qlinalg.scaled(mat)
-    e, (ints,) = qlinalg.scaled([coeffs])
-    columns = list(zip(*m))
-    h = [[0] * n for _ in range(n)]
-    for k in range(deg, -1, -1):
-        if k < deg:
-            h = [[sum(map(mul, row, col)) for col in columns] for row in h]
-        c = ints[k] * d ** (deg - k)
-        for i in range(n):
-            h[i][i] += c
-    denominator = e * d ** max(deg, 0)
-    return [[Fraction(x, denominator) for x in row] for row in h]
 
 
 def poly_apply(p: Polynomial, M: SectionMatrix) -> SectionMatrix:

@@ -121,14 +121,16 @@ def kform_to_json(f: KForm) -> dict:
     return {"degree": f.degree, "rank": f.rank, "coeffs": coeffs}
 
 
-def _parse_multi_index(key: str) -> tuple[int, ...]:
+def _multi_index_from_json(key: str, degree: int, rank: int, field: str) -> tuple[int, ...]:
+    """The 0-based indices of a key "[i1,…,ik]", k = degree, 1 ≤ i1 < … < ik ≤ rank."""
     body = key.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"bad multi-index {key!r}")
-    inner = body[1:-1].strip()
-    if not inner:
-        return ()
-    return tuple(int(part) - 1 for part in inner.split(","))
+    if body.startswith("[") and body.endswith("]"):
+        parts = [p.strip() for p in body[1:-1].split(",")] if body[1:-1].strip() else []
+        if all(map(str.isdecimal, parts)):
+            idx = tuple(int(p) - 1 for p in parts)
+            if len(idx) == degree and all(a < b for a, b in zip((-1,) + idx, idx + (rank,))):
+                return idx
+    raise MalformedInput(f"{field}: not a multi-index for degree {degree}, rank {rank}: {key!r}")
 
 
 def _int_from_json(obj: Any, field: str) -> int:
@@ -137,12 +139,17 @@ def _int_from_json(obj: Any, field: str) -> int:
     return obj
 
 
-def kform_from_json(domain: OpenSet, obj: dict, field: str) -> KForm:
+def kform_from_json(domain: OpenSet, obj: Any, field: str) -> KForm:
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"{field}: not an object: {obj!r}")
     degree = _int_from_json(obj["degree"], f"{field}.degree")
     rank = _int_from_json(obj["rank"], f"{field}.rank")
-    coeffs = {_parse_multi_index(k): section_from_json(domain, v, f"{field}.coeffs.{k}")
-              for k, v in obj.get("coeffs", {}).items()}
-    return KForm(domain, rank, degree, coeffs)
+    coeffs = obj.get("coeffs", {})
+    if not isinstance(coeffs, dict):
+        raise MalformedInput(f"{field}.coeffs: not an object: {coeffs!r}")
+    return KForm(domain, rank, degree, {
+        _multi_index_from_json(k, degree, rank, f"{field}.coeffs.{k}"):
+            section_from_json(domain, v, f"{field}.coeffs.{k}") for k, v in coeffs.items()})
 
 
 def polynomial_to_json(p: Polynomial) -> list:

@@ -5,8 +5,10 @@ matrix per point of U.  Both sit on the stalkwise base of `sections`:
 `stalks` holds the stalk at each point of `domain.labels`, in that order, as
 tuples of Fractions (tuple rows for a matrix), and restriction, entrywise
 arithmetic and equality come from the base.  Products, determinants and
-inverses run stalk by stalk on the qlinalg kernels, which keeps everything
-exact and makes the Laplace identity A·adj(A) = det(A)·I hold on the nose.
+inverses run stalk by stalk on the qlinalg kernels (one fraction-free
+elimination for determinants, ranks and kernels; the adjugate as the
+Cayley–Hamilton polynomial in A), which keeps everything exact and makes
+the Laplace identity A·adj(A) = det(A)·I hold on the nose.
 StructureSection entries are built only when a caller reads them.
 """
 
@@ -215,11 +217,9 @@ def determinant(a: SectionMatrix) -> StructureSection:
 
 def determinant_adjugate(a: SectionMatrix) -> tuple[StructureSection, SectionMatrix]:
     """Determinant and adjugate, each computed on the ℚ stalk at each point,
-    with A·adj = adj·A = det·I exactly."""
+    with A·adj = adj·A = det·I exactly, for singular A and n = 0 too."""
     det = determinant(a)
-    n = a.rows
-    adj = SectionMatrix.from_stalks(a.domain, n, n,
-                                    (qlinalg.adjugate(s) if n else [] for s in a.stalks))
+    adj = SectionMatrix.from_stalks(a.domain, a.rows, a.rows, map(qlinalg.adjugate, a.stalks))
     return det, adj
 
 

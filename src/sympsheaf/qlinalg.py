@@ -5,10 +5,12 @@ matrices (products, determinants, ranks, kernels, symplectic reduction)
 bottoms out here.  Matrices are sequences of rows of Fractions: the kernels
 accept list or tuple rows, return list rows and never mutate an argument.
 
-The hot kernels (products and determinants here, characteristic polynomials
-and their substitution in `charpoly`) run on Python ints: `scaled` writes a
-stalk M as D·M, an integer matrix over one common denominator D, the loops
-stay in ℤ, and the denominator is restored once per output entry.
+The hot kernels run on Python ints: `scaled` writes a stalk M as D·M, an
+integer matrix over one common denominator D, restored once per output
+entry.  One fraction-free Gauss–Jordan (`_gauss_jordan`) serves
+determinants, RREF, ranks and kernels; products, Berkowitz's characteristic
+polynomial and Horner substitution run on D·M too, and the adjugate is the
+Cayley–Hamilton polynomial in M, so no kernel computes a minor.
 """
 
 from __future__ import annotations
@@ -16,13 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from typing import Sequence
 
 QMatrix = list  # list[list[Fraction]]; tuple rows are accepted as input
-
-
-def copy(m: QMatrix) -> QMatrix:
-    """A copy with list rows, which the caller may write into."""
-    return [list(row) for row in m]
 
 
 def scaled(m: QMatrix) -> tuple[int, list[list[int]]]:
@@ -43,72 +41,57 @@ def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     return [[Fraction(sum(map(mul, row, col)), d) for col in columns] for row in ia]
 
 
-def transpose(a: QMatrix) -> QMatrix:
-    return [list(col) for col in zip(*a)] if a else []
+def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss–Jordan elimination of the integer matrix m, in
+    place; returns the pivot columns and the sign of the row swaps.
+
+    Bareiss's rule (Math. Comp. 22:565, 1968) row_i ← (p·row_i − m_ic·row_p)/p′,
+    with p the new pivot and p′ the one before, updates every other row, above
+    the pivot as well as below; its divisions are exact, as every entry stays
+    a minor of m.  The r pivot rows end up sharing the last pivot, which is
+    sign·det(m) when m is square of full rank; the other rows are zero.
+    """
+    rows = len(m)
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(len(m[0]) if rows else 0):
+        r = len(pivots)
+        if r == rows:
+            break
+        p = next((i for i in range(r, rows) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        pivot_row, pivot = m[r], m[r][c]
+        for i in range(rows):
+            if i != r:
+                lead = m[i][c]
+                m[i] = [(x * pivot - lead * y) // prev for x, y in zip(m[i], pivot_row)]
+        prev = pivot
+        pivots.append(c)
+    return pivots, sign
 
 
 def det_bareiss(a: QMatrix) -> Fraction:
-    """det(a) = det(D·a)/Dⁿ, with det(D·a) by Bareiss's fraction-free
-    elimination on ints, whose divisions are exact (O(n³))."""
+    """det(a) = det(D·a)/Dⁿ, with det(D·a) the last pivot of the fraction-free
+    elimination of D·a on ints (O(n³)); 0 when a pivot is missing."""
     n = len(a)
-    if n == 0:
-        return Fraction(1)
     d, m = scaled(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot_row, pivot = m[k][k + 1:], m[k][k]
-        for i in range(k + 1, n):
-            row, lead = m[i], m[i][k]
-            row[k + 1:] = [(x * pivot - lead * y) // prev
-                           for x, y in zip(row[k + 1:], pivot_row)]
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], d ** n)
-
-
-def adjugate(a: QMatrix) -> QMatrix:
-    """Adjugate via cofactors: adj[i][j] = (-1)^(i+j) det(a with row j, col i deleted)."""
-    n = len(a)
-    if n == 1:
-        return [[Fraction(1)]]
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:i] + row[i + 1:] for k, row in enumerate(a) if k != j]
-            out[i][j] = (-1) ** (i + j) * det_bareiss(minor)
-    return out
+    pivots, sign = _gauss_jordan(m)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * m[n - 1][n - 1], d ** n) if n else Fraction(1)
 
 
 def rref(a: QMatrix) -> tuple[QMatrix, list[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    m = copy(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    """Reduced row echelon form and the pivot column list: the elimination
+    of D·a, whose pivot rows all carry the same pivot, divided by it."""
+    _, m = scaled(a)
+    pivots, _ = _gauss_jordan(m)
+    pivot = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return [[Fraction(x, pivot) for x in row] for row in m], pivots
 
 
 def rank(a: QMatrix) -> int:
@@ -122,12 +105,64 @@ def kernel_basis(a: QMatrix) -> list[list[Fraction]]:
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
+        v = [Fraction(j == f) for j in range(cols)]
         for r, c in enumerate(pivots):
             v[c] = -reduced[r][f]
         basis.append(v)
     return basis
+
+
+def qq_charpoly(mat: QMatrix) -> list[Fraction]:
+    """Coefficients of det(tI − M), constant term first, for a ℚ matrix.
+
+    Berkowitz's division-free method (Inf. Proc. Lett. 18:147, 1984): for
+    M = [[a, R], [C, M₁]], det(tI − M) is the product of the lower triangular
+    Toeplitz matrix with first column (1, −a, −RC, −RM₁C, …, −RM₁ⁿ⁻²C) and
+    the coefficients of det(tI − M₁), leading coefficient first.  Running
+    from the bottom-right entry up takes O(n⁴) ring operations.  They run on
+    the integer matrix D·M, and c_k(M) = c_k(D·M)/Dⁿ⁻ᵏ.
+    """
+    n = len(mat)
+    d, m = scaled(mat)
+    p = [1]  # det(tI − M₁) for the trailing block, leading coefficient first
+    for i in reversed(range(n)):
+        row, column = m[i][i + 1:], [r[i] for r in m[i + 1:]]
+        block = [r[i + 1:] for r in m[i + 1:]]
+        toeplitz = [1, -m[i][i]]
+        for k in range(len(block)):
+            if k:
+                column = [sum(map(mul, r, column)) for r in block]
+            toeplitz.append(-sum(map(mul, row, column)))
+        p = [sum(toeplitz[j - l] * p[l] for l in range(min(j + 1, len(p))))
+             for j in range(len(p) + 1)]
+    return [Fraction(c, d ** k) for k, c in enumerate(p)][::-1]
+
+
+def _horner(coeffs: Sequence[Fraction], mat: QMatrix) -> QMatrix:
+    """Σ c_k·M^k = H/(e·D^deg) with H = Σ (e·c_k·D^{deg−k})·(D·M)^k, where e
+    clears the coefficient denominators; Horner's rule computes H in ints."""
+    n, deg = len(mat), len(coeffs) - 1
+    d, m = scaled(mat)
+    e, (ints,) = scaled([coeffs])
+    columns = list(zip(*m))
+    h = [[0] * n for _ in range(n)]
+    for k in range(deg, -1, -1):
+        if k < deg:
+            h = [[sum(map(mul, row, col)) for col in columns] for row in h]
+        c = ints[k] * d ** (deg - k)
+        for i in range(n):
+            h[i][i] += c
+    denominator = e * d ** max(deg, 0)
+    return [[Fraction(x, denominator) for x in row] for row in h]
+
+
+def adjugate(a: QMatrix) -> QMatrix:
+    """adj(a) by Cayley–Hamilton: with det(tI − a) = Σ c_k t^k and
+    c₀ = (−1)ⁿ det(a), a·Σ_{k≥1} c_k a^{k−1} = −c₀·I, so
+    adj(a) = (−1)ⁿ⁻¹ Σ_{k≥1} c_k a^{k−1}.  A polynomial identity in the
+    entries, it holds for singular a too; O(n⁴) on ints."""
+    sign = 1 if len(a) % 2 else -1
+    return _horner([sign * c for c in qq_charpoly(a)[1:]], a)
 
 
 def symplectic_reduce(gram: QMatrix) -> tuple[int, QMatrix]:

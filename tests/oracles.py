@@ -5,7 +5,8 @@ the code paths under test: determinants by Laplace cofactor expansion,
 characteristic polynomials by cofactor expansion over ℚ[t], wedge
 evaluation by the full permutation sum with the (1/k!l!) normalization,
 congruence by direct triple products, matrix polynomials by Horner's rule
-on Fractions, rational roots by trial division.
+on Fractions, rational roots by trial division, reduced row echelon forms
+by Gauss–Jordan on Fractions, adjugates by cofactors.
 """
 
 from __future__ import annotations
@@ -41,6 +42,53 @@ def cofactor_det(rows) -> Fraction:
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         acc += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return acc
+
+
+def cofactor_adjugate(rows) -> list[list[Fraction]]:
+    """adj[i][j] = (−1)^(i+j)·det(rows without row j and column i), each
+    minor by Laplace expansion."""
+    n = len(rows)
+    return [[(-1) ** (i + j) * cofactor_det([r[:i] + r[i + 1:]
+                                             for k, r in enumerate(rows) if k != j])
+             for j in range(n)] for i in range(n)]
+
+
+def rref_fraction(rows):
+    """Reduced row echelon form and pivot columns by Gauss–Jordan on Fractions:
+    normalize each pivot row, then clear its column in every other row."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    cols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def kernel_from_rref(rows):
+    """The null space basis read off rref_fraction: one vector per free
+    column f, with 1 at f and −(reduced entry) at each pivot column."""
+    cols = len(rows[0]) if rows else 0
+    reduced, pivots = rref_fraction(rows)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(cols)]
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][f]
+        basis.append(v)
+    return basis
 
 
 def qq_matmul(a, b):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sympsheaf import is_symplectic_map, point_space, standard_J
+from sympsheaf import KForm, is_symplectic_map, point_space, standard_J
 from sympsheaf.cli import main
 from sympsheaf.errors import MalformedInput
 from sympsheaf.jsonio import kform_from_json, matrix_from_json, space_from_json
@@ -61,6 +62,10 @@ CASES = [
     ("wedge", "wedge_mismatch", 1),
     ("wedge", "malformed", 2),
     ("wedge", "wedge_fractional_degree", 2),
+    ("wedge", "wedge_xi_not_object", 2),
+    ("wedge", "wedge_coeffs_not_object", 2),
+    ("wedge", "wedge_index_not_integer", 2),
+    ("wedge", "wedge_index_out_of_range", 2),
 ]
 
 
@@ -105,6 +110,22 @@ def test_kform_degree_and_rank_must_be_integers(key, bad):
     obj = {"degree": 1, "rank": 2, "coeffs": {"[1]": 1}, key: bad}
     with pytest.raises(MalformedInput, match=rf"^xi\.{key}: "):
         kform_from_json(point_space().whole, obj, "xi")
+
+
+@pytest.mark.parametrize("key", ["[2,1]", "[1,1]", "[0,1]", "[-1,2]", "[1,3]", "[1]", "[1,2,3]",
+                                 "1,2", "[1,2", "[+1,2]", "[1,,2]", "[]"])
+def test_kform_multi_indices_name_the_key(key):
+    obj = {"degree": 2, "rank": 2, "coeffs": {"[1,2]": 1, key: 1}}
+    with pytest.raises(MalformedInput, match=rf"^xi\.coeffs\.{re.escape(key)}: "):
+        kform_from_json(point_space().whole, obj, "xi")
+
+
+def test_kform_multi_indices_allow_spaces():
+    U = point_space().whole
+    form = kform_from_json(U, {"degree": 2, "rank": 3, "coeffs": {" [ 1 , 3 ] ": 2}}, "xi")
+    assert form == kform_from_json(U, {"degree": 2, "rank": 3, "coeffs": {"[1,3]": 2}}, "xi")
+    assert kform_from_json(U, {"degree": 0, "rank": 3, "coeffs": {"[]": 5}}, "xi") == \
+        KForm.scalar(U, 3, 5)
 
 
 @pytest.mark.parametrize("bad", [True, None])  # 1.5 is the golden case

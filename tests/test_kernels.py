@@ -1,12 +1,13 @@
 """The integer stalk kernels against the Fraction oracles.
 
-`qlinalg.mat_mul`, `qlinalg.det_bareiss`, `charpoly.qq_charpoly` and the
+`qlinalg.mat_mul`, `qlinalg.det_bareiss`, `qlinalg.rref` (with `rank` and
+`kernel_basis` on top), `qlinalg.adjugate`, `qlinalg.qq_charpoly` and the
 Horner substitution behind `poly_apply` run on D·M over ints; here they must
 equal plain-Fraction computations on random matrices of size 0…8 with mixed
-denominators and singular rows, and on smaller ones with 80–100-bit
-entries, where the exponential oracles allow.  `rational_roots` (Sturm
-bisection) must equal the trial-division oracle, and must solve planted 8×8
-spectra of 20-digit rationals quickly.
+denominators, singular, rank-deficient and rectangular shapes, and on
+smaller ones with 80–100-bit entries, where the exponential oracles allow.
+`rational_roots` (Sturm bisection) must equal the trial-division oracle, and
+must solve planted 8×8 spectra of 20-digit rationals quickly.
 """
 
 import random
@@ -17,15 +18,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sympsheaf import SectionMatrix, eigen_sections, point_space, rational_roots
-from sympsheaf.charpoly import _horner, qq_charpoly
-from sympsheaf.qlinalg import det_bareiss, mat_mul, scaled
+from sympsheaf.qlinalg import (
+    _horner,
+    adjugate,
+    det_bareiss,
+    kernel_basis,
+    mat_mul,
+    qq_charpoly,
+    rank,
+    rref,
+    scaled,
+)
 
 from oracles import (
     charpoly_cofactor,
+    cofactor_adjugate,
     cofactor_det,
     horner_apply,
+    kernel_from_rref,
     qq_matmul,
     rational_roots_brute,
+    rref_fraction,
 )
 
 PT = point_space().whole
@@ -100,6 +113,75 @@ def test_horner_matches_fraction_horner(n, entry, singular):
     assert _horner(coeffs, m) == horner_apply(coeffs, m)
     assert _horner([], m) == horner_apply([], m)
     assert _horner(qq_charpoly(m), m) == [[0] * n for _ in range(n)]  # Cayley–Hamilton
+
+
+def shaped(rng, rows, cols, entry, shape):
+    """A rows×cols matrix: dense; a product L·R through a random inner size,
+    so rank-deficient; with repeated rows; or with zero rows and columns."""
+    if shape == "product":
+        k = rng.randint(0, min(rows, cols))
+        left, right = matrix(rng, rows, k, entry), matrix(rng, k, cols, entry)
+        return [[sum((x * right[t][j] for t, x in enumerate(row)), F(0)) for j in range(cols)]
+                for row in left]
+    m = matrix(rng, rows, cols, entry)
+    if shape == "repeated" and rows > 1:
+        for _ in range(rng.randint(1, rows - 1)):
+            m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+    if shape == "zeros" and rows and cols:
+        m[rng.randrange(rows)] = [F(0)] * cols
+        j = rng.randrange(cols)
+        for row in m:
+            row[j] = F(0)
+    return m
+
+
+def check_elimination(m):
+    reduced, pivots = rref(m)
+    assert (reduced, pivots) == rref_fraction(m)
+    assert all(type(x) is F for row in reduced for x in row)
+    assert rank(m) == len(pivots)
+    kernel = kernel_basis(m)
+    assert kernel == kernel_from_rref(m)
+    assert all(not any(qq_matmul(m, [[x] for x in v])[i][0] for i in range(len(m)))
+               for v in kernel)
+    if m and len(m) == len(m[0]) and len(pivots) < len(m):
+        assert det_bareiss(m) == 0
+
+
+SHAPES = ("dense", "product", "repeated", "zeros")
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("rows", range(9))
+def test_rref_rank_kernel_match_fraction_gauss_jordan(rows, shape):
+    rng = random.Random(f"rref{rows}{shape}")
+    for cols in range(9):
+        check_elimination(shaped(rng, rows, cols, mixed, shape))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("n", range(7))
+def test_rref_rank_kernel_with_big_entries(n, shape):
+    rng = random.Random(f"rrefbig{n}{shape}")
+    for cols in {max(n - 1, 0), n, n + 1}:
+        check_elimination(shaped(rng, n, cols, big, shape))
+
+
+@pytest.mark.parametrize("n,entry,drop", [(n, mixed, d) for n in range(8) for d in (0, 1, 2)]
+                         + [(n, big, d) for n in range(6) for d in (0, 1, 2)])
+def test_adjugate_matches_cofactors(n, entry, drop):
+    """adj by Cayley–Hamilton equals the cofactor adjugate at full rank, at
+    rank n − 1 (adj of rank one) and at rank n − 2 (adj = 0)."""
+    rng = random.Random(f"adj{n}{entry.__name__}{drop}")
+    k = max(n - drop, 0)  # the rank: L·R through k inner columns
+    m = mat_mul(matrix(rng, n, k, entry), matrix(rng, k, n, entry)) if k else \
+        [[F(0)] * n for _ in range(n)]
+    expected = cofactor_adjugate(m)
+    assert adjugate(m) == expected
+    if n:
+        assert any(map(any, expected)) == (k >= n - 1)
+        det = det_bareiss(m)
+        assert qq_matmul(m, expected) == [[det * (i == j) for j in range(n)] for i in range(n)]
 
 
 # -- rational roots --------------------------------------------------------------

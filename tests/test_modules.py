@@ -22,11 +22,13 @@ from sympsheaf.errors import DimensionMismatch, DomainMismatch, NonUnitDetermina
 from sympsheaf import qlinalg
 
 from oracles import (
+    cofactor_adjugate,
     cofactor_det,
     qq_matmul,
     rand_matrix,
     rand_section,
     rand_vector,
+    rref_fraction,
 )
 
 PT = point_space().whole
@@ -92,12 +94,23 @@ def test_determinant_identity():
     assert det == 1 and adj == SectionMatrix.identity(PT, 4)
 
 
+def singular_inputs(rng, domain, n):
+    """Inputs random square matrices miss: products of pointwise rank n − 1
+    (adj ≠ 0) and n − 2 (adj = 0), whose adjugate A·adj = det·I = 0 does not
+    pin, the zero matrix, and the sizes 0 and 1."""
+    low = [rand_matrix(rng, domain, n, r) @ rand_matrix(rng, domain, r, n) for r in (n - 1, n - 2)]
+    for m, r in zip(low, (n - 1, n - 2)):
+        assert all(len(rref_fraction(s)[1]) == r for s in m.stalks)
+    return low + [SectionMatrix.zeros(domain, n, n), SectionMatrix.zeros(domain, 0, 0),
+                  rand_matrix(rng, domain, 1, 1), SectionMatrix.zeros(domain, 1, 1)]
+
+
 def test_laplace_identity_against_cofactor_oracle():
     rng = random.Random(2)
-    for _ in range(10):
-        m = rand_matrix(rng, PT, 4, 4)
+    for m in [rand_matrix(rng, PT, 4, 4) for _ in range(10)] + singular_inputs(rng, PT, 4):
         det, adj = determinant_adjugate(m)
         assert det.stalks[0] == cofactor_det(m.at_point("x"))
+        assert adj.at_point("x") == cofactor_adjugate(m.at_point("x"))
         n = m.rows
         det_id = SectionMatrix.identity(PT, n).scale(det)
         assert m @ adj == det_id and adj @ m == det_id
@@ -106,12 +119,13 @@ def test_laplace_identity_against_cofactor_oracle():
 def test_laplace_identity_for_section_matrices():
     sp = sierpinski()
     rng = random.Random(3)
-    for _ in range(5):
-        m = rand_matrix(rng, sp.whole, 3, 3)
+    inputs = [rand_matrix(rng, sp.whole, 3, 3) for _ in range(5)]
+    for m in inputs + singular_inputs(rng, sp.whole, 3):
         det, adj = determinant_adjugate(m)
         for p in sp.whole.labels:
             assert det.at(p) == cofactor_det(m.at_point(p))
-        assert m @ adj == SectionMatrix.identity(sp.whole, 3).scale(det)
+            assert adj.at_point(p) == cofactor_adjugate(m.at_point(p))
+        assert m @ adj == SectionMatrix.identity(sp.whole, m.rows).scale(det)
 
 
 def test_det_multiplicative_and_transpose_laws():
