@@ -133,17 +133,23 @@ def _multi_index_from_json(key: str, degree: int, rank: int, field: str) -> tupl
     raise MalformedInput(f"{field}: not a multi-index for degree {degree}, rank {rank}: {key!r}")
 
 
-def _int_from_json(obj: Any, field: str) -> int:
-    if type(obj) is not int:  # bool is an int subclass, and int() truncates floats
-        raise MalformedInput(f"{field}: not an integer: {obj!r}")
-    return obj
+def _size_from_json(obj: dict, key: str, field: str) -> int:
+    """The nonnegative integer obj[key]: the degree or the rank of a form."""
+    if key not in obj:
+        raise MalformedInput(f"{field}: missing")
+    value = obj[key]
+    if type(value) is not int:  # bool is an int subclass, and int() truncates floats
+        raise MalformedInput(f"{field}: not an integer: {value!r}")
+    if value < 0:
+        raise MalformedInput(f"{field}: negative: {value}")
+    return value
 
 
 def kform_from_json(domain: OpenSet, obj: Any, field: str) -> KForm:
     if not isinstance(obj, dict):
         raise MalformedInput(f"{field}: not an object: {obj!r}")
-    degree = _int_from_json(obj["degree"], f"{field}.degree")
-    rank = _int_from_json(obj["rank"], f"{field}.rank")
+    degree = _size_from_json(obj, "degree", f"{field}.degree")
+    rank = _size_from_json(obj, "rank", f"{field}.rank")
     coeffs = obj.get("coeffs", {})
     if not isinstance(coeffs, dict):
         raise MalformedInput(f"{field}.coeffs: not an object: {coeffs!r}")

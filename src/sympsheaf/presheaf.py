@@ -7,12 +7,18 @@ along inclusions.  check_completeness transliterates the two axioms:
   S1 (locality): sections agreeing on every member of a cover are equal;
   S2 (gluing):   every compatible family over a cover comes from a section.
 
-S1 buckets the carrier over U by each section's tuple of restrictions to
-the cover members.  S2 and sheafify_sections walk the one compatible-family
-enumerator, which joins the member carriers on their keys over the overlaps;
-a family glues iff its member keys name an S1 bucket.  For infinite section
-sets (all ℚ-valued functions) the carrier samples a deterministic finite
-grid of rationals; within the sampled carrier the verdict is exact.
+Both are decided on hashable *keys*: a presheaf names each carrier section
+over U by a key, and restricts keys along inclusions with a restrictor
+built once per pair of opens.  Since A(U) = ∏_{x∈U} ℚ, a function section
+is named by its tuple of grid indices and restricts by an index gather.
+S1 buckets the carrier keys over U by their tuple of restrictions to the
+cover members.  S2 and sheafify_sections walk the one compatible-family
+enumerator, a natural join of the member carriers on their keys over the
+overlaps; a family glues iff its member keys name an S1 bucket.  Section
+objects are built only for the S1/S2 witnesses and for public output.  For
+infinite section sets (all ℚ-valued functions) the carrier samples a
+deterministic finite grid of rationals; within the sampled carrier the
+verdict is exact.
 
 glue_stalkwise is the one gluing routine, for every stalkwise object
 (section, vector, matrix, polynomial, form): it checks the overlaps and
@@ -26,11 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Any, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Sequence
 
 from .errors import DimensionMismatch, IncompatibleFamily, NonEnumerableSections
 from .sections import StructureSection, _Stalkwise
-from .site import (FiniteSpace, OpenSet, minimal_cover, minimal_open_neighborhood,
+from .site import (FiniteSpace, OpenSet, _gather, minimal_cover, minimal_open_neighborhood,
                    require_open_cover)
 
 CARRIER_CAP = 200_000
@@ -51,8 +58,27 @@ def sample_grid(seed: int, size: int = 2) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _first_occurrences(grid: Sequence[Fraction]) -> tuple[int, ...]:
+    """Each grid value as the index of its first occurrence, so that equal
+    values (a repeated 0, or 1 and 2/2) get equal keys."""
+    first: dict[Fraction, int] = {}
+    return tuple(first.setdefault(g, i) for i, g in enumerate(grid))
+
+
+def _identity(k):
+    return k
+
+
 class Presheaf:
-    """Base interface: enumerate sections over an open, restrict, and key them."""
+    """Base interface: enumerate sections over an open, restrict, and key them.
+
+    check_completeness and the compatible-family join run on keys alone:
+    `_keys(U)` is the carrier over U as hashable keys, in carrier order;
+    `_restrictor(U, V)` maps a key over U to the key of its restriction to
+    an open V ⊆ U; `_section(k, U)` is the section the key k names.  The
+    defaults key each section s by `key(s)`, which must then name s: by
+    default it is s itself.
+    """
 
     space: FiniteSpace
 
@@ -65,44 +91,83 @@ class Presheaf:
     def key(self, s):
         return s
 
+    def _keys(self, U: OpenSet) -> list:
+        return [self.key(s) for s in self.sections(U)]
+
+    def _restrictor(self, U: OpenSet, V: OpenSet) -> Callable:
+        return lambda k: self.key(self.restrict(k, V))
+
+    def _section(self, k, U: OpenSet):
+        return k
+
 
 class FunctionPresheaf(Presheaf):
     """The structure sheaf A: all functions U → grid (a sampled slice of ℚ^U).
 
     The carrier over U is closed under restriction and pointwise gluing, so
-    S1/S2 checks within it are exact.
+    S1/S2 checks within it are exact.  A carrier key is the tuple of grid
+    indices of a section's values at the points of U, so restriction is an
+    index gather.
     """
 
     def __init__(self, space: FiniteSpace, grid: Sequence[Fraction] = DEFAULT_GRID):
         self.space = space
         self.grid = tuple(Fraction(g) for g in grid)
+        self._first = _first_occurrences(self.grid)
 
     def sections(self, U: OpenSet) -> list[StructureSection]:
-        count = len(self.grid) ** U.size
-        if count > CARRIER_CAP:
-            raise NonEnumerableSections(f"{count} sections over {U} exceed the enumeration cap")
-        return [StructureSection(U, values) for values in product(self.grid, repeat=U.size)]
+        return [self._section(k, U) for k in self._keys(U)]
 
     def key(self, s: StructureSection):
         return (s.domain.mask, s.stalks)
+
+    def _keys(self, U: OpenSet) -> list[tuple[int, ...]]:
+        count = len(self.grid) ** U.size
+        if count > CARRIER_CAP:
+            raise NonEnumerableSections(f"{count} sections over {U} exceed the enumeration cap")
+        return list(product(self._first, repeat=U.size))
+
+    def _restrictor(self, U: OpenSet, V: OpenSet) -> Callable:
+        gather = _gather(U.mask, V.mask)
+        if not gather:
+            return lambda k: ()
+        if len(gather) == 1:  # itemgetter of one index returns the item, not a tuple
+            i, = gather
+            return lambda k: (k[i],)
+        return itemgetter(*gather)
+
+    def _section(self, k: tuple[int, ...], U: OpenSet) -> StructureSection:
+        grid = self.grid
+        return StructureSection.from_stalks(U, [grid[i] for i in k])
 
 
 class ConstantPresheaf(Presheaf):
     """The constant presheaf P(U) = grid with identity restrictions.
 
     Not a sheaf: compatible families over disjoint covers need not glue, and
-    two constants agree vacuously over the empty cover of ∅.
+    two constants agree vacuously over the empty cover of ∅.  A carrier key
+    is a grid index.
     """
 
     def __init__(self, space: FiniteSpace, grid: Sequence[Fraction] = DEFAULT_GRID):
         self.space = space
         self.grid = tuple(Fraction(g) for g in grid)
+        self._first = _first_occurrences(self.grid)
 
     def sections(self, U: OpenSet) -> list[Fraction]:
         return list(self.grid)
 
     def restrict(self, s, V: OpenSet):
         return s
+
+    def _keys(self, U: OpenSet) -> list[int]:
+        return list(self._first)
+
+    def _restrictor(self, U: OpenSet, V: OpenSet) -> Callable:
+        return _identity
+
+    def _section(self, k: int, U: OpenSet) -> Fraction:
+        return self.grid[k]
 
 
 class GermSampledPresheaf(Presheaf):
@@ -163,73 +228,78 @@ class CompletenessReport:
         return self.s1.passed and self.s2.passed
 
 
-def _restriction_key(presheaf: Presheaf, s, V: OpenSet):
-    return presheaf.key(presheaf.restrict(s, V))
-
-
 def check_completeness(presheaf: Presheaf, U: OpenSet,
                        cover: Sequence[OpenSet]) -> CompletenessReport:
     """Decide S1 and S2 for the presheaf over U against the given cover."""
     cover = list(cover)
     require_open_cover(U, cover)
-    carrier = presheaf.sections(U)
+    restrictors = [presheaf._restrictor(U, V) for V in cover]
 
-    # S1: bucket carrier sections by their tuple of restrictions.
+    # S1: bucket the carrier keys by their tuple of restrictions.
     buckets: dict[tuple, list] = {}
-    for s in carrier:
-        k = tuple(_restriction_key(presheaf, s, V) for V in cover)
-        buckets.setdefault(k, []).append(s)
+    for k in presheaf._keys(U):
+        buckets.setdefault(tuple(r(k) for r in restrictors), []).append(k)
     s1 = AxiomReport("S1", "pass")
     for group in buckets.values():
-        distinct = []
-        for s in group:
-            if all(presheaf.key(s) != presheaf.key(t) for t in distinct):
-                distinct.append(s)
-        if len(distinct) >= 2:
-            s1 = AxiomReport("S1", "fail", witness=(distinct[0], distinct[1]))
+        if len(group) >= 2 and len(distinct := list(dict.fromkeys(group))) >= 2:
+            s1 = AxiomReport("S1", "fail", witness=(presheaf._section(distinct[0], U),
+                                                    presheaf._section(distinct[1], U)))
             break
 
-    # S2: a family glues iff its tuple of member keys is the restriction-key
-    # tuple of some carrier section, i.e. hits an S1 bucket.
-    unglued = next((f for f in _compatible_families(presheaf, cover)
-                    if tuple(presheaf.key(s) for s in f.sections) not in buckets), None)
-    s2 = (AxiomReport("S2", "fail", witness=unglued) if unglued is not None
-          else AxiomReport("S2", "pass"))
+    # S2: a family glues iff its tuple of member keys is the restriction tuple
+    # of some carrier key, i.e. hits an S1 bucket.
+    unglued = next((keys for keys in _compatible_keys(presheaf, cover)
+                    if keys not in buckets), None)
+    s2 = (AxiomReport("S2", "fail", witness=_family(presheaf, cover, unglued))
+          if unglued is not None else AxiomReport("S2", "pass"))
     return CompletenessReport(s1, s2)
 
 
-def _compatible_families(presheaf: Presheaf, cover: Sequence[OpenSet]):
-    """Yield every compatible family over the cover, in lexicographic carrier
-    order.
+def _compatible_keys(presheaf: Presheaf, cover: Sequence[OpenSet]):
+    """Yield the member keys of every compatible family over the cover, in
+    lexicographic carrier order.
 
-    Each member's carrier is bucketed by its keys on the nonempty overlaps
-    with the earlier members, so a partial family extends only through the
-    bucket its chosen sections select (a hash join): no candidate is tried
-    and rejected.
+    Each member's carrier keys are bucketed by their restrictions to the
+    nonempty overlaps with the earlier members, so a partial family extends
+    only through the bucket its chosen keys select (a hash join): no
+    candidate is tried and rejected.
     """
     cover = tuple(cover)
-    earlier = [[(i, cover[i].intersection(V)) for i in range(j) if cover[i].mask & V.mask]
-               for j, V in enumerate(cover)]
     index: list[dict[tuple, list]] = []
-    for V, overlaps in zip(cover, earlier):
+    lookups: list[list[tuple[int, Callable]]] = []
+    for j, V in enumerate(cover):
+        overlaps = [(i, cover[i].intersection(V)) for i in range(j) if cover[i].mask & V.mask]
+        own = [presheaf._restrictor(V, o) for _, o in overlaps]
         bucket: dict[tuple, list] = {}
-        for s in presheaf.sections(V):
-            bucket.setdefault(tuple(_restriction_key(presheaf, s, o) for _, o in overlaps),
-                              []).append(s)
+        for k in presheaf._keys(V):
+            bucket.setdefault(tuple(r(k) for r in own), []).append(k)
         index.append(bucket)
+        lookups.append([(i, presheaf._restrictor(cover[i], o)) for i, o in overlaps])
     chosen: list = []
 
     def extend(j):
         if j == len(cover):
-            yield CompatibleFamily(cover, tuple(chosen))
+            yield tuple(chosen)
             return
-        wanted = tuple(_restriction_key(presheaf, chosen[i], o) for i, o in earlier[j])
-        for s in index[j].get(wanted, ()):
-            chosen.append(s)
+        wanted = tuple(r(chosen[i]) for i, r in lookups[j])
+        for k in index[j].get(wanted, ()):
+            chosen.append(k)
             yield from extend(j + 1)
             chosen.pop()
 
     yield from extend(0)
+
+
+def _family(presheaf: Presheaf, cover: Sequence[OpenSet], keys: tuple) -> CompatibleFamily:
+    return CompatibleFamily(tuple(cover), tuple(presheaf._section(k, V)
+                                                for k, V in zip(keys, cover)))
+
+
+def _compatible_families(presheaf: Presheaf, cover: Sequence[OpenSet]):
+    """Yield every compatible family over the cover, in lexicographic carrier
+    order: the key families of _compatible_keys, as sections."""
+    cover = tuple(cover)
+    return (_family(presheaf, cover, keys) for keys in _compatible_keys(presheaf, cover))
 
 
 def sheafify_sections(presheaf: Presheaf, U: OpenSet) -> list[CompatibleFamily]:

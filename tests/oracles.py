@@ -6,7 +6,8 @@ characteristic polynomials by cofactor expansion over ℚ[t], wedge
 evaluation by the full permutation sum with the (1/k!l!) normalization,
 congruence by direct triple products, matrix polynomials by Horner's rule
 on Fractions, rational roots by trial division, reduced row echelon forms
-by Gauss–Jordan on Fractions, adjugates by cofactors.
+by Gauss–Jordan on Fractions, adjugates by cofactors, the sheaf axioms
+on section objects rather than on carrier keys.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from itertools import permutations
 from math import factorial, lcm
 
 from sympsheaf import SectionMatrix, SectionVector, StructureSection
+from sympsheaf.presheaf import AxiomReport, CompatibleFamily, CompletenessReport
+from sympsheaf.site import require_open_cover
 
 
 def perm_sign(perm) -> int:
@@ -194,6 +197,74 @@ def wedge_eval_oracle(xi, eta, args) -> StructureSection:
         term = xi.evaluate(left) * eta.evaluate(right) * (perm_sign(sigma) * norm)
         acc = acc + term
     return acc
+
+
+# -- sheaf axioms on section objects ----------------------------------------------
+
+
+def _restriction_key(presheaf, s, V):
+    return presheaf.key(presheaf.restrict(s, V))
+
+
+def compatible_families_sections(presheaf, cover):
+    """Every compatible family over the cover, in lexicographic carrier order,
+    by a hash join over the carriers as section objects: each member's
+    sections are bucketed by their keys on the nonempty overlaps with the
+    earlier members."""
+    cover = tuple(cover)
+    earlier = [[(i, cover[i].intersection(V)) for i in range(j) if cover[i].mask & V.mask]
+               for j, V in enumerate(cover)]
+    index: list[dict[tuple, list]] = []
+    for V, overlaps in zip(cover, earlier):
+        bucket: dict[tuple, list] = {}
+        for s in presheaf.sections(V):
+            bucket.setdefault(tuple(_restriction_key(presheaf, s, o) for _, o in overlaps),
+                              []).append(s)
+        index.append(bucket)
+    chosen: list = []
+
+    def extend(j):
+        if j == len(cover):
+            yield CompatibleFamily(cover, tuple(chosen))
+            return
+        wanted = tuple(_restriction_key(presheaf, chosen[i], o) for i, o in earlier[j])
+        for s in index[j].get(wanted, ()):
+            chosen.append(s)
+            yield from extend(j + 1)
+            chosen.pop()
+
+    yield from extend(0)
+
+
+def check_completeness_sections(presheaf, U, cover) -> CompletenessReport:
+    """S1 and S2 decided on the carrier's section objects through the public
+    sections/restrict/key interface, with the same witnesses."""
+    cover = list(cover)
+    require_open_cover(U, cover)
+    carrier = presheaf.sections(U)
+
+    # S1: bucket carrier sections by their tuple of restrictions.
+    buckets: dict[tuple, list] = {}
+    for s in carrier:
+        k = tuple(_restriction_key(presheaf, s, V) for V in cover)
+        buckets.setdefault(k, []).append(s)
+    s1 = AxiomReport("S1", "pass")
+    for group in buckets.values():
+        distinct = []
+        for s in group:
+            if all(presheaf.key(s) != presheaf.key(t) for t in distinct):
+                distinct.append(s)
+        if len(distinct) >= 2:
+            s1 = AxiomReport("S1", "fail", witness=(distinct[0], distinct[1]))
+            break
+
+    # S2: a family glues iff its tuple of member keys is the restriction-key
+    # tuple of some carrier section, i.e. hits an S1 bucket.
+    unglued = next((f for f in compatible_families_sections(presheaf, cover)
+                    if tuple(presheaf.key(s) for s in f.sections) not in buckets), None)
+    s2 = (AxiomReport("S2", "fail", witness=unglued) if unglued is not None
+          else AxiomReport("S2", "pass"))
+    return CompletenessReport(s1, s2)
 
 
 # -- random instance generators ------------------------------------------------------

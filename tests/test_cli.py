@@ -58,6 +58,9 @@ CASES = [
     ("sheaf-check", "grid_not_array", 2),
     ("sheaf-check", "cover_not_array", 2),
     ("sheaf-check", "cover_member_not_array", 2),
+    ("sheaf-check", "function_duplicate_grid", 0),
+    ("sheaf-check", "constant_duplicate_grid", 1),
+    ("sheaf-check", "constant_empty_cover", 1),
     ("wedge", "wedge_basic", 0),
     ("wedge", "wedge_mismatch", 1),
     ("wedge", "malformed", 2),
@@ -66,6 +69,8 @@ CASES = [
     ("wedge", "wedge_coeffs_not_object", 2),
     ("wedge", "wedge_index_not_integer", 2),
     ("wedge", "wedge_index_out_of_range", 2),
+    ("wedge", "wedge_negative_degree", 2),
+    ("wedge", "wedge_missing_degree", 2),
 ]
 
 
@@ -105,11 +110,20 @@ def test_charpoly_rot_coefficients():
 
 
 @pytest.mark.parametrize("key", ["degree", "rank"])
-@pytest.mark.parametrize("bad", [1.7, 2.0, True, "2", None])
+@pytest.mark.parametrize("bad", [1.7, 2.0, True, "2", None, -1])
 def test_kform_degree_and_rank_must_be_integers(key, bad):
     obj = {"degree": 1, "rank": 2, "coeffs": {"[1]": 1}, key: bad}
     with pytest.raises(MalformedInput, match=rf"^xi\.{key}: "):
         kform_from_json(point_space().whole, obj, "xi")
+
+
+@pytest.mark.parametrize("field", ["xi", "eta"])
+@pytest.mark.parametrize("key", ["degree", "rank"])
+def test_kform_degree_and_rank_are_required(key, field):
+    obj = {"degree": 1, "rank": 2, "coeffs": {"[1]": 1}}
+    del obj[key]
+    with pytest.raises(MalformedInput, match=rf"^{field}\.{key}: missing$"):
+        kform_from_json(point_space().whole, obj, field)
 
 
 @pytest.mark.parametrize("key", ["[2,1]", "[1,1]", "[0,1]", "[-1,2]", "[1,3]", "[1]", "[1,2,3]",

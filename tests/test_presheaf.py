@@ -34,6 +34,8 @@ from sympsheaf.errors import (
 )
 from sympsheaf.presheaf import _compatible_families
 
+from oracles import check_completeness_sections
+
 
 def three_point_site():
     return validate_topology(["a", "b", "c"],
@@ -129,7 +131,8 @@ def covers_up_to_three(U):
             if is_open_cover(U, cover)]
 
 
-@pytest.mark.parametrize("grid", [(F(0), F(1)), (F(0), F(1), F(-1, 2))], ids=["grid2", "grid3"])
+@pytest.mark.parametrize("grid", [(F(0), F(1)), (F(0), F(1), F(-1, 2)), (F(0), F(1), F(0))],
+                         ids=["grid2", "grid3", "repeated"])
 @pytest.mark.parametrize("kind", [FunctionPresheaf, ConstantPresheaf])
 def test_compatible_families_match_brute_force_in_order(kind, grid):
     # pins the enumeration order, hence the S2 witnesses sheaf-check prints
@@ -149,6 +152,53 @@ def test_compatible_families_match_brute_force_in_order(kind, grid):
                 witness = check_completeness(presheaf, U, cover).s2.witness
                 assert (witness and witness.sections) == next(iter(unglued), None), \
                     (sp, U, cover)
+
+
+def germ_sampled(sp, grid):
+    """Samples over the whole space: each cyclic shift of the grid, the first
+    one twice."""
+    n = len(grid)
+    shifts = [StructureSection(sp.whole, [grid[(i + p) % n] for p in range(len(sp.points))])
+              for i in range(n)]
+    return GermSampledPresheaf(sp, shifts + shifts[:1])
+
+
+@pytest.mark.parametrize("grid", [(F(0), F(1)), (F(0), F(1), F(-1, 2)), (F(0), F(1), F(0)),
+                                  (F(1), F(2, 2), F(2))],
+                         ids=["grid2", "grid3", "repeated", "equal-values"])
+@pytest.mark.parametrize("make", [FunctionPresheaf, ConstantPresheaf, germ_sampled],
+                         ids=["functions", "constant", "germs"])
+def test_key_path_matches_section_oracle(make, grid):
+    # S1/S2 decided on carrier keys give the statuses and witnesses that the
+    # same decision on section objects gives
+    failed = 0
+    for sp in enumerate_topologies(["a", "b", "c"]):
+        presheaf = make(sp, grid)
+        for U in sp.all_opens():
+            for cover in covers_up_to_three(U):
+                report = check_completeness(presheaf, U, cover)
+                assert report == check_completeness_sections(presheaf, U, cover), (sp, U, cover)
+                failed += not report.passed
+    assert bool(failed) == (make is ConstantPresheaf)
+
+
+def test_key_path_builds_sections_only_for_witnesses(monkeypatch):
+    points = ["p0", "p1", "p2", "p3"]
+    sp = validate_topology(points, [points[k:] for k in range(5)])
+    presheaf = FunctionPresheaf(sp, (F(0), F(1), F(1, 2)))
+    built = []
+    inner = StructureSection.from_stalks.__func__
+
+    def counted(cls, *args):
+        built.append(1)
+        return inner(cls, *args)
+
+    monkeypatch.setattr(StructureSection, "from_stalks", classmethod(counted))
+    cover = minimal_cover(sp.whole)
+    assert check_completeness(presheaf, sp.whole, cover).passed
+    assert not built
+    assert len(sheafify_sections(presheaf, sp.whole)) == 3 ** 4
+    assert len(built) == 3 ** 4 * len(cover)
 
 
 def test_chain_six_by_four_values_scales():
