@@ -9,7 +9,9 @@ pin down):
                 determinant of the pairing matrix with no extra factor.
 
 Forms store coefficients on strictly increasing multi-indices only; the
-full n^k tensor layout exists solely as the alternation map's domain.
+full n^k tensor layout exists solely as the alternation map's domain.  The
+wedge runs per stalk on ints: each factor over its common denominator
+(`qlinalg.scaled`), each multi-index turned into a bitmask inside the kernel.
 """
 
 from __future__ import annotations
@@ -237,29 +239,47 @@ class KForm(_Multilinear):
         return f"KForm({body})"
 
 
-def _shuffle_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    inversions = sum(1 for i in left for j in right if i > j)
-    return -1 if inversions % 2 else 1
+def _masked(stalk: Stalk) -> tuple[int, list[tuple[int, int, int]]]:
+    """(D, terms): the stalk over its common denominator D, one term
+    (mask, P, D·c) per coefficient c on the multi-index I, where
+    mask = Σ_{i∈I} 2ⁱ and P = XOR_{i∈I} (2ⁱ − 1) has bit j set iff an odd
+    number of indices of I exceed j."""
+    d, (ints,) = qlinalg.scaled([[c for _, c in stalk]])
+    terms = []
+    for (idx, _), v in zip(stalk, ints):
+        mask = parity = 0
+        for i in idx:
+            mask |= 1 << i
+            parity ^= (1 << i) - 1
+        terms.append((mask, parity, v))
+    return d, terms
 
 
 def wedge(xi: KForm, eta: KForm) -> KForm:
     """Exterior product.  Graded-commutative and associative; degree-0
     factors act as scalars.  If the degrees overflow the rank the result is
     the zero form of that (overflowing) degree, flagged by its degree, not
-    an error."""
+    an error.
+
+    Per stalk the product runs on ints, with multi-indices as bitmasks
+    (Dorst, Fontijne and Mann, *Geometric Algebra for Computer Science*,
+    2007): blades I and J meet iff I & J, merge to I | J, and the shuffle
+    sign is the parity of the pairs i ∈ I, j ∈ J with i > j, that is of
+    popcount(J & P(I)) (see `_masked`)."""
     if xi.domain != eta.domain or xi.rank != eta.rank:
         raise DomainMismatch("wedge factors on different modules")
 
     def product(a: Stalk, b: Stalk) -> dict:
-        out = {}
-        for left, x in a:
-            for right, y in b:
-                if not set(left).isdisjoint(right):
-                    continue
-                merged = tuple(sorted(left + right))
-                term = x * y if _shuffle_sign(left, right) > 0 else -(x * y)
-                out[merged] = out.get(merged, ZERO) + term
-        return out
+        (da, left), (db, right) = _masked(a), _masked(b)
+        out: dict[int, int] = {}
+        for ma, pa, x in left:
+            for mb, _, y in right:
+                if not ma & mb:
+                    term = -x * y if (mb & pa).bit_count() & 1 else x * y
+                    out[ma | mb] = out.get(ma | mb, 0) + term
+        d = da * db
+        return {tuple(i for i in range(mask.bit_length()) if mask >> i & 1): Fraction(v, d)
+                for mask, v in out.items() if v}
 
     return KForm.from_stalks(xi.domain, xi.rank, xi.degree + eta.degree,
                              map(product, xi.stalks, eta.stalks))

@@ -181,19 +181,25 @@ class GermSampledPresheaf(Presheaf):
     carrier restricts and glues within itself, so completeness checks are
     meaningful for presheaves (symplectic maps, eigenpairs) whose full
     carrier is not enumerable.  The samples are stalkwise objects of one
-    shape over the whole space.
+    shape over the whole space.  Each carrier is built once per open.
     """
 
     def __init__(self, space: FiniteSpace, samples: Sequence[_Stalkwise]):
         self.space = space
-        self.samples = list(samples)
+        self.samples = tuple(samples)
+        self._carriers: dict[int, tuple[_Stalkwise, ...]] = {}
 
     def sections(self, U: OpenSet) -> list[_Stalkwise]:
+        carrier = self._carriers.get(U.mask)
+        if carrier is None:
+            carrier = self._carriers[U.mask] = tuple(self._carrier(U))
+        return list(carrier)
+
+    def _carrier(self, U: OpenSet):
         cover = minimal_cover(U)
         if not U.mask or U in cover:  # ∅ or some U_x: the distinct sample germs
-            return list(dict.fromkeys(s.restrict(U) for s in self.samples))
-        return [glue_stalkwise(U, f.cover, f.sections)
-                for f in _compatible_families(self, cover)]
+            return dict.fromkeys(s.restrict(U) for s in self.samples)
+        return (glue_stalkwise(U, f.cover, f.sections) for f in _compatible_families(self, cover))
 
 
 @dataclass(frozen=True)

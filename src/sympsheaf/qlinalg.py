@@ -10,13 +10,15 @@ integer matrix over one common denominator D, restored once per output
 entry.  One fraction-free Gauss–Jordan (`_gauss_jordan`) serves
 determinants, RREF, ranks and kernels; products, Berkowitz's characteristic
 polynomial and Horner substitution run on D·M too, and the adjugate is the
-Cayley–Hamilton polynomial in M, so no kernel computes a minor.
+Cayley–Hamilton polynomial in M, so no kernel computes a minor.  The
+symplectic reduction runs on the integer Gram matrix D·G, each generator an
+integer vector over its own denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -173,30 +175,48 @@ def symplectic_reduce(gram: QMatrix) -> tuple[int, QMatrix]:
     argument: pick a pair with nonzero pairing, normalize, project the rest
     onto the orthogonal complement, repeat; whatever remains pairs to zero
     with everything and spans the kernel.
+
+    It runs on ints, on the Gram matrix G = D·gram from `scaled`.  Its
+    pairings are D times those of gram, so each t found is the t of gram
+    divided by D, while the split z ↦ z + ω(z,s)·t − ω(z,t)·s is unchanged:
+    with the t columns multiplied by D at the end, C is the one gram gives.
     """
     n = len(gram)
-    # Each generator g is kept with G·g, so ω(u, g) = u·(G·g) is one dot
-    # product; G·e_j is the j-th column of G.
-    gens = [([Fraction(i == j) for j in range(n)], list(col)) for i, col in enumerate(zip(*gram))]
-    s_vecs: list[list[Fraction]] = []
-    t_vecs: list[list[Fraction]] = []
+    d, g = scaled(gram)
+    # Each generator z = num/den is kept as (num, den, G·num), num and den
+    # coprime and den > 0, so ω(u, z) is the integer u·(G·num) over the
+    # denominators; G·e_j is the j-th column of G.
+    gens = [([int(i == j) for j in range(n)], 1, list(col)) for i, col in enumerate(zip(*g))]
+    s_vecs: list[tuple[list[int], int]] = []
+    t_vecs: list[tuple[list[int], int]] = []
     while True:
         found = next(((i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
-                      if dot(gens[i][0], gens[j][1]) != 0), None)
+                      if sum(map(mul, gens[i][0], gens[j][2]))), None)
         if found is None:
             break
-        (s, gs), (t, gt) = gens[found[0]], gens[found[1]]
-        u = dot(s, gt)
-        t, gt = [x / u for x in t], [x / u for x in gt]
+        (s, ds, gs), (t, dt, gt) = gens[found[0]], gens[found[1]]
+        # t ← t/ω(s,t) = ds·num_t/u with u = s·(G·num_t), the sign of u moved to num_t
+        u = sum(map(mul, s, gt))
+        r = ds if u > 0 else -ds
+        t, dt, gt = _reduced([x * r for x in t], abs(u), [x * r for x in gt])
 
-        def split(z, gz):  # z + ω(z,s)·t − ω(z,t)·s, and its image under G
-            zs, zt = dot(z, gs), dot(z, gt)
-            return ([a + zs * b - zt * c for a, b, c in zip(z, t, s)],
-                    [a + zs * b - zt * c for a, b, c in zip(gz, gt, gs)])
+        def split(z, dz, gz):  # z + ω(z,s)·t − ω(z,t)·s over dz·ds·dt, and G times it
+            a, b, e = sum(map(mul, z, gs)), -sum(map(mul, z, gt)), ds * dt
+            return _reduced([x * e + a * y + b * w for x, y, w in zip(z, t, s)], dz * e,
+                            [x * e + a * y + b * w for x, y, w in zip(gz, gt, gs)])
 
-        gens = [split(*g) for k, g in enumerate(gens) if k not in found]
-        s_vecs.append(s)
-        t_vecs.append(t)
+        gens = [split(*z) for k, z in enumerate(gens) if k not in found]
+        s_vecs.append((s, ds))
+        t_vecs.append(([x * d for x in t], dt))
     m = len(s_vecs)
-    columns = s_vecs + t_vecs + [z for z, _ in gens]
+    columns = [[Fraction(x, den) for x in num] for num, den, *_ in s_vecs + t_vecs + gens]
     return m, [[columns[c][r] for c in range(n)] for r in range(n)]
+
+
+def _reduced(num: list[int], den: int, image: list[int]) -> tuple[list[int], int, list[int]]:
+    """(num, den, image) divided by gcd(num, den): image = G·num is an
+    integer combination of num's entries, so it divides exactly too."""
+    c = gcd(den, *num)
+    if c == 1:
+        return num, den, image
+    return [x // c for x in num], den // c, [x // c for x in image]

@@ -9,8 +9,10 @@ orthogonal complement via
 
     z  ↦  z + ω(z,s)·t − ω(z,t)·s,
 
-and recurse), and the per-point changes of basis are glued into one section
-matrix P.  This is legitimate because A(U) = ∏_{x∈U} ℚ: the structure sheaf
+and recurse), on ints: it reduces the integer Gram matrix D·Ω over the
+common denominator D of the stalk, which scales every t by 1/D and leaves
+the split unchanged, and multiplies the t columns by D at the end.  The
+per-point changes of basis are glued into one section matrix P.  This is legitimate because A(U) = ∏_{x∈U} ℚ: the structure sheaf
 glues arbitrary pointwise data, so a normal form found at every stalk is a
 normal form over U.  The identity ᵗPΩP = J (or the block form) is then
 checked exactly in section arithmetic.

@@ -7,7 +7,8 @@ evaluation by the full permutation sum with the (1/k!l!) normalization,
 congruence by direct triple products, matrix polynomials by Horner's rule
 on Fractions, rational roots by trial division, reduced row echelon forms
 by Gauss–Jordan on Fractions, adjugates by cofactors, the sheaf axioms
-on section objects rather than on carrier keys.
+on section objects rather than on carrier keys, symplectic reduction and the
+wedge product on Fractions and multi-index tuples.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm
 
-from sympsheaf import SectionMatrix, SectionVector, StructureSection
+from sympsheaf import KForm, SectionMatrix, SectionVector, StructureSection
 from sympsheaf.presheaf import AxiomReport, CompatibleFamily, CompletenessReport
 from sympsheaf.site import require_open_cover
 
@@ -197,6 +198,60 @@ def wedge_eval_oracle(xi, eta, args) -> StructureSection:
         term = xi.evaluate(left) * eta.evaluate(right) * (perm_sign(sigma) * norm)
         acc = acc + term
     return acc
+
+
+def _dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def symplectic_reduce_fraction(gram):
+    """(m, C) with ᵗC·gram·C the block normal form, by the flag-splitting
+    reduction on Fractions: pair the first two generators z_i, z_j (i < j)
+    with ω(z_i, z_j) ≠ 0 as s and t = z_j/ω(s, z_j), split every other
+    generator z ↦ z + ω(z,s)·t − ω(z,t)·s, repeat; C is the s columns, the t
+    columns, then the generators left over."""
+    n = len(gram)
+    # each generator g is kept with gram·g, so ω(u, g) = u·(gram·g)
+    gens = [([Fraction(i == j) for j in range(n)], list(col)) for i, col in enumerate(zip(*gram))]
+    s_vecs, t_vecs = [], []
+    while True:
+        found = next(((i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
+                      if _dot(gens[i][0], gens[j][1]) != 0), None)
+        if found is None:
+            break
+        (s, gs), (t, gt) = gens[found[0]], gens[found[1]]
+        u = _dot(s, gt)
+        t, gt = [x / u for x in t], [x / u for x in gt]
+
+        def split(z, gz):
+            zs, zt = _dot(z, gs), _dot(z, gt)
+            return ([a + zs * b - zt * c for a, b, c in zip(z, t, s)],
+                    [a + zs * b - zt * c for a, b, c in zip(gz, gt, gs)])
+
+        gens = [split(*g) for k, g in enumerate(gens) if k not in found]
+        s_vecs.append(s)
+        t_vecs.append(t)
+    columns = s_vecs + t_vecs + [z for z, _ in gens]
+    return len(s_vecs), [[columns[c][r] for c in range(n)] for r in range(n)]
+
+
+def wedge_shuffle(xi, eta) -> KForm:
+    """ξ∧η by the shuffle sum on each stalk: for disjoint multi-indices I, J
+    the term c_I·d_J lands on sorted(I + J), with the sign (−1) to the
+    number of pairs i ∈ I, j ∈ J with i > j."""
+    def product(a, b):
+        out = {}
+        for left, x in a:
+            for right, y in b:
+                if set(left) & set(right):
+                    continue
+                inversions = sum(1 for i in left for j in right if i > j)
+                merged = tuple(sorted(left + right))
+                out[merged] = out.get(merged, Fraction(0)) + (-1) ** inversions * x * y
+        return out
+
+    return KForm.from_stalks(xi.domain, xi.rank, xi.degree + eta.degree,
+                             map(product, xi.stalks, eta.stalks))
 
 
 # -- sheaf axioms on section objects ----------------------------------------------

@@ -8,6 +8,14 @@ denominators, singular, rank-deficient and rectangular shapes, and on
 smaller ones with 80–100-bit entries, where the exponential oracles allow.
 `rational_roots` (Sturm bisection) must equal the trial-division oracle, and
 must solve planted 8×8 spectra of 20-digit rationals quickly.
+
+The forms kernels run on ints as well: `qlinalg.symplectic_reduce` on the
+integer Gram matrix must return the very (m, C) of the Fraction reduction on
+thousands of random skew matrices (n = 0…9, mixed denominators, zero
+patterns, low ranks, the moving and mixed zero patterns of `rand_skew_mixed`),
+and the bitmask `wedge` must equal the shuffle-sign product stalk for stalk,
+on degree-0 factors, overflowing degrees, empty stalks, U = ∅ and ranks of
+64 and more.
 """
 
 import random
@@ -17,7 +25,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympsheaf import SectionMatrix, eigen_sections, point_space, rational_roots
+from sympsheaf import (
+    KForm,
+    SectionMatrix,
+    discrete,
+    eigen_sections,
+    point_space,
+    rational_roots,
+    wedge,
+)
 from sympsheaf.qlinalg import (
     _horner,
     adjugate,
@@ -28,17 +44,23 @@ from sympsheaf.qlinalg import (
     rank,
     rref,
     scaled,
+    symplectic_reduce,
 )
 
 from oracles import (
     charpoly_cofactor,
     cofactor_adjugate,
+    _block_stalk,
     cofactor_det,
+    congruence,
     horner_apply,
     kernel_from_rref,
     qq_matmul,
     rational_roots_brute,
+    rand_skew_mixed,
     rref_fraction,
+    symplectic_reduce_fraction,
+    wedge_shuffle,
 )
 
 PT = point_space().whole
@@ -182,6 +204,96 @@ def test_adjugate_matches_cofactors(n, entry, drop):
         assert any(map(any, expected)) == (k >= n - 1)
         det = det_bareiss(m)
         assert qq_matmul(m, expected) == [[det * (i == j) for j in range(n)] for i in range(n)]
+
+
+# -- symplectic reduction --------------------------------------------------------
+
+
+def skew(rng, n, entry, zeros=0.0):
+    """A random n×n skew matrix, each pair (i, j), i < j, zero with probability zeros."""
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() >= zeros:
+                m[i][j] = entry(rng)
+                m[j][i] = -m[i][j]
+    return m
+
+
+def skew_shaped(rng, n, entry, shape):
+    """Dense; with about half its entries zero; or ᵗB·K·B for a random k×k
+    skew K, k ≤ n, so of rank at most k (0 when k < 2)."""
+    if shape == "low rank":
+        k = rng.randint(0, n)
+        b = matrix(rng, k, n, entry)
+        return congruence(b, skew(rng, k, entry))
+    return skew(rng, n, entry, 0.5 if shape == "zeros" else 0.0)
+
+
+def check_reduction(gram):
+    m, C = symplectic_reduce(gram)
+    assert (m, C) == symplectic_reduce_fraction(gram)
+    assert all(type(x) is F for row in C for x in row)
+    assert congruence(C, gram) == _block_stalk(m, len(gram))
+
+
+@pytest.mark.parametrize("shape", ("dense", "zeros", "low rank"))
+@pytest.mark.parametrize("n", range(10))
+def test_symplectic_reduce_matches_fraction_reduction(n, shape):
+    rng = random.Random(f"reduce{n}{shape}")
+    for _ in range(80):
+        check_reduction(skew_shaped(rng, n, mixed, shape))
+
+
+@pytest.mark.parametrize("shape", ("dense", "zeros", "low rank"))
+@pytest.mark.parametrize("n", range(7))
+def test_symplectic_reduce_with_big_entries(n, shape):
+    rng = random.Random(f"reducebig{n}{shape}")
+    for _ in range(5):
+        check_reduction(skew_shaped(rng, n, big, shape))
+
+
+@pytest.mark.parametrize("dense,moving,m_moving", [(0, 3, 1), (0, 4, 1), (0, 5, 2), (0, 6, 2),
+                                                   (2, 3, 1), (2, 4, 2), (4, 4, 1), (4, 5, 2)])
+def test_symplectic_reduce_on_moving_and_mixed_zeros(dense, moving, m_moving):
+    """At every point of a 3-point site, stalks whose pairings each vanish
+    somewhere, rescaled per point."""
+    rng = random.Random(f"reducemixed{dense}{moving}{m_moving}")
+    domain = discrete(["a", "b", "c"]).whole
+    for _ in range(20):
+        for stalk in rand_skew_mixed(rng, domain, dense, moving, m_moving).stalks:
+            check_reduction(stalk)
+
+
+# -- wedge ------------------------------------------------------------------------
+
+
+def sparse_form(rng, domain, rank, degree, entry):
+    """A form with up to 6 random coefficients per point on random multi-indices
+    (all of them, for small ranks), some points left without any."""
+    stalks = []
+    for _ in range(domain.size):
+        count = rng.choice((0, 1, 3, 6)) if degree <= rank else 0
+        stalks.append({tuple(sorted(rng.sample(range(rank), degree))): entry(rng)
+                       for _ in range(count)})
+    return KForm.from_stalks(domain, rank, degree, stalks)
+
+
+@pytest.mark.parametrize("rank", (0, 1, 2, 3, 4, 5, 6, 8, 63, 64, 65, 130))
+def test_wedge_matches_shuffle_product(rank):
+    rng = random.Random(f"wedge{rank}")
+    space = discrete(["a", "b", "c"])
+    for domain in (space.empty, PT, space.whole):
+        for k in range(min(rank, 4) + 1):
+            for l in range(min(rank, 4) + 1):
+                for entry in (mixed, mixed, big):
+                    xi = sparse_form(rng, domain, rank, k, entry)
+                    eta = sparse_form(rng, domain, rank, l, entry)
+                    product = wedge(xi, eta)
+                    assert product == wedge_shuffle(xi, eta)
+                    assert product.degree == k + l
+                    if k + l > rank:
+                        assert product.is_zero()
 
 
 # -- rational roots --------------------------------------------------------------

@@ -32,6 +32,7 @@ from sympsheaf.errors import (
     NonEnumerableSections,
     NotAnOpenCover,
 )
+from sympsheaf import presheaf as presheaf_module
 from sympsheaf.presheaf import _compatible_families
 
 from oracles import check_completeness_sections
@@ -349,3 +350,26 @@ def test_germ_carrier_scales_on_a_star():
     carrier = GermSampledPresheaf(sp, samples).sections(sp.whole)
     assert time.perf_counter() - start < 2
     assert len(carrier) == 6 and set(carrier) == set(samples)
+
+
+def test_germ_carrier_is_built_once_per_open(monkeypatch):
+    """A repeated sections(U) glues nothing again and hands out a fresh list."""
+    sp = three_point_site()
+    presheaf = germ_sampled(sp, (F(0), F(1), F(-1, 2)))
+    glued = []
+
+    def counting(*args):
+        glued.append(args)
+        return glue_stalkwise(*args)
+
+    monkeypatch.setattr(presheaf_module, "glue_stalkwise", counting)
+    for U in sp.all_opens():
+        first = presheaf.sections(U)
+        calls = len(glued)
+        first.clear()
+        again = presheaf.sections(U)
+        assert len(glued) == calls, U
+        assert again and again is not presheaf.sections(U)
+    assert glued  # some carrier was glued from several germs
+    check_completeness(presheaf, sp.whole, minimal_cover(sp.whole))
+    assert len(glued) == calls
