@@ -123,16 +123,10 @@ def _axiom_witness_json(witness):
     if witness is None:
         return None
     if isinstance(witness, CompatibleFamily):
-        return {"family": [{"open": list(V.labels), "section": _presheaf_section_json(s)}
+        return {"family": [{"open": list(V.labels), "section": _jsonable(s)}
                            for V, s in zip(witness.cover, witness.sections)]}
     left, right = witness
-    return {"left": _presheaf_section_json(left), "right": _presheaf_section_json(right)}
-
-
-def _presheaf_section_json(s):
-    if isinstance(s, StructureSection):
-        return jsonio.section_to_json(s)
-    return jsonio.fraction_to_json(Fraction(s))
+    return {"left": _jsonable(left), "right": _jsonable(right)}
 
 
 def _array(problem, key: str) -> list:
@@ -240,7 +234,7 @@ def main(argv=None) -> int:
         code, report = _HANDLERS[args.command](problem, space, U, args.seed)
     except AlgebraError as exc:
         error = {"name": type(exc).__name__, "message": str(exc)}
-        witness = getattr(exc, "points", None) or getattr(exc, "witness", None)
+        witness = exc.points or exc.witness
         if witness is not None:
             error["witness"] = _jsonable(witness)
         _emit(_report(args.command, type(exc).__name__, error=error), args.output, stream)

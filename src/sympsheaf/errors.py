@@ -7,7 +7,15 @@ it without parsing the message.
 
 
 class AlgebraError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    ``points`` holds the labels of the points at fault and ``witness`` any
+    other algebraic witness (sets, sections, a value)."""
+
+    def __init__(self, message, *, points=(), witness=None):
+        super().__init__(message)
+        self.points = tuple(points)
+        self.witness = witness
 
 
 class MalformedInput(ValueError):
@@ -22,17 +30,11 @@ class NegativeInput(AlgebraError):
 class NotExact(AlgebraError):
     """An exact result (square root, volume scale) does not exist in the rationals."""
 
-    def __init__(self, message, value=None):
-        super().__init__(message)
-        self.value = value
-
 
 # -- site ------------------------------------------------------------------
 
 class TopologyError(AlgebraError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class NotClosedUnderUnion(TopologyError):
@@ -70,9 +72,7 @@ class NonEnumerableSections(AlgebraError):
 
 
 class IncompatibleFamily(AlgebraError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 # -- modules and matrices ---------------------------------------------------
@@ -92,17 +92,9 @@ class NotSquare(AlgebraError):
 class NonUnitDeterminant(AlgebraError):
     """Determinant vanishes somewhere; ``points`` lists the labels where it does."""
 
-    def __init__(self, message, points=()):
-        super().__init__(message)
-        self.points = tuple(points)
-
 
 class NonUnitSection(AlgebraError):
     """A section that must be nowhere zero vanishes at ``points``."""
-
-    def __init__(self, message, points=()):
-        super().__init__(message)
-        self.points = tuple(points)
 
 
 # -- exterior algebra -------------------------------------------------------
@@ -120,9 +112,7 @@ class ArityMismatch(AlgebraError):
 
 
 class DegenerateMetric(AlgebraError):
-    def __init__(self, message, points=()):
-        super().__init__(message)
-        self.points = tuple(points)
+    pass
 
 
 # -- symplectic -------------------------------------------------------------
@@ -132,15 +122,11 @@ class NotSkewSymmetric(AlgebraError):
 
 
 class Degenerate(AlgebraError):
-    def __init__(self, message, points=()):
-        super().__init__(message)
-        self.points = tuple(points)
+    pass
 
 
 class NonConstantRank(AlgebraError):
-    def __init__(self, message, points=()):
-        super().__init__(message)
-        self.points = tuple(points)
+    pass
 
 
 class NotSymplectic(AlgebraError):

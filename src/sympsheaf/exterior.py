@@ -374,9 +374,3 @@ class GradedForm:
         parts = [wedge(a, b) for a in self.components for b in other.components
                  if a.degree + b.degree <= self.rank]
         return GradedForm.from_forms(self.domain, self.rank, parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedForm):
-            return NotImplemented
-        return (self.domain == other.domain and self.rank == other.rank
-                and self.components == other.components)

@@ -155,9 +155,6 @@ class SectionMatrix(_Stalkwise):
     def entries(self) -> tuple[tuple[StructureSection, ...], ...]:
         return tuple(tuple(self[i, j] for j in range(self.cols)) for i in range(self.rows))
 
-    def row(self, i: int) -> SectionVector:
-        return SectionVector.from_stalks(self.domain, self.cols, (s[i] for s in self.stalks))
-
     def column(self, j: int) -> SectionVector:
         return SectionVector.from_stalks(self.domain, self.rows,
                                          ([r[j] for r in s] for s in self.stalks))

@@ -46,7 +46,7 @@ def rational_try_sqrt(a: Fraction) -> Fraction:
     num, den = a.numerator, a.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
-        raise NotExact(f"{a} has no rational square root", value=a)
+        raise NotExact(f"{a} has no rational square root", witness=a)
     return Fraction(rn, rd)
 
 

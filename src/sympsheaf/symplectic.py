@@ -11,11 +11,14 @@ orthogonal complement via
 
 and recurse), on ints: it reduces the integer Gram matrix D·Ω over the
 common denominator D of the stalk, which scales every t by 1/D and leaves
-the split unchanged, and multiplies the t columns by D at the end.  The
-per-point changes of basis are glued into one section matrix P.  This is legitimate because A(U) = ∏_{x∈U} ℚ: the structure sheaf
-glues arbitrary pointwise data, so a normal form found at every stalk is a
-normal form over U.  The identity ᵗPΩP = J (or the block form) is then
-checked exactly in section arithmetic.
+the split unchanged, and multiplies the t columns by D at the end.  The m
+pairs it splits off at a point give the pointwise rank 2m, from which
+darboux_basis and skew_normal_form decide degeneracy and constant rank.
+The per-point changes of basis are glued into one section matrix P.  This
+is legitimate because A(U) = ∏_{x∈U} ℚ: the structure sheaf glues
+arbitrary pointwise data, so a normal form found at every stalk is a normal
+form over U.  The identity ᵗPΩP = J (or the block form) is then checked
+exactly in section arithmetic.
 """
 
 from __future__ import annotations
@@ -91,19 +94,26 @@ class FormReport:
 
 
 def check_form(omega: SectionMatrix) -> FormReport:
-    """Classify a bilinear form: skewness, pointwise ranks, nondegeneracy.
+    """Classify a bilinear form, skew or not: skewness, pointwise ranks by
+    RREF, nondegeneracy.
 
     Nondegeneracy means det(Ω) is a unit section, i.e. nonzero at every
     point, equivalent to the section-level definition over the function
     sheaf.
     """
-    if not omega.is_square():
-        raise NotSquare(f"{omega.rows}x{omega.cols} form matrix")
-    skew = omega.transpose() == -omega and not any(
-        s[i][i] for s in omega.stalks for i in range(omega.rows))
+    skew = _is_skew(omega)
     ranks = dict(zip(omega.domain.labels, map(qlinalg.rank, omega.stalks)))
     nondeg = skew and all(r == omega.rows for r in ranks.values())
     return FormReport(skew=skew, ranks=ranks, nondegenerate=nondeg)
+
+
+def _is_skew(omega: SectionMatrix) -> bool:
+    """NotSquare unless Ω is square; then whether s[i][j] = −s[j][i] for all
+    i, j at every stalk s (over ℚ the case i = j forces a zero diagonal)."""
+    if not omega.is_square():
+        raise NotSquare(f"{omega.rows}x{omega.cols} form matrix")
+    return all(x == -y for s in omega.stalks for row, column in zip(s, zip(*s))
+               for x, y in zip(row, column))
 
 
 # -- pairing helpers ----------------------------------------------------------------
@@ -136,19 +146,16 @@ class DarbouxBasis:
 
 def darboux_basis(omega: SectionMatrix) -> DarbouxBasis:
     """Symplectic basis of a nondegenerate skew form: ᵗPΩP = J exactly."""
-    report = check_form(omega)
-    if not report.skew:
-        raise NotSkewSymmetric("form matrix is not skew-symmetric")
-    if omega.rows % 2:
+    ms, P = _stalkwise_reduce(omega)
+    n = omega.rows
+    if n % 2:
         raise Degenerate("odd rank cannot carry a nondegenerate skew form",
                          points=omega.domain.labels)
-    if not report.nondegenerate:
-        bad = tuple(p for p, r in report.ranks.items() if r < omega.rows)
+    bad = tuple(p for p, m in zip(omega.domain.labels, ms) if 2 * m < n)
+    if bad:
         raise Degenerate("form is degenerate; use skew_normal_form", points=bad)
-    m, P = _stalkwise_reduce(omega)
-    gram = P.transpose() @ omega @ P
-    if gram != standard_J(omega.domain, m):
-        raise AssertionError("Darboux certificate failed; arithmetic bug")
+    m = n // 2
+    gram = _certified(omega, m, P)
     columns = P.columns()
     return DarbouxBasis(tuple(columns[:m]), tuple(columns[m:]), (), P, gram)
 
@@ -160,33 +167,40 @@ def skew_normal_form(omega: SectionMatrix) -> tuple[int, SectionMatrix]:
     NonConstantRank reports the offending points (restrict and retry there,
     mirroring the local statement of the theorem).
     """
-    report = check_form(omega)
-    if not report.skew:
-        raise NotSkewSymmetric("form matrix is not skew-symmetric")
-    if report.constant_rank is None:
-        reference = report.ranks[omega.domain.labels[0]]
-        bad = tuple(p for p, r in report.ranks.items() if r != reference)
+    ms, P = _stalkwise_reduce(omega)
+    m = ms[0] if ms else omega.rows // 2
+    bad = tuple(p for p, k in zip(omega.domain.labels, ms) if k != m)
+    if bad:
         raise NonConstantRank("pointwise rank is not constant", points=bad)
-    m, P = _stalkwise_reduce(omega)
-    gram = P.transpose() @ omega @ P
-    if gram != block_normal_form(omega.domain, m, omega.rows):
-        raise AssertionError("normal-form certificate failed; arithmetic bug")
+    _certified(omega, m, P)
     return m, P
 
 
-def _stalkwise_reduce(omega: SectionMatrix) -> tuple[int, SectionMatrix]:
-    """Reduce Ω on each ℚ stalk and glue the changes of basis: returns (m, P).
+def _stalkwise_reduce(omega: SectionMatrix) -> tuple[list[int], SectionMatrix]:
+    """Reduce a skew form Ω on each ℚ stalk and glue the changes of basis:
+    returns the per-point m's, the pointwise rank being 2m, and P.
 
-    The columns of P are s₁..s_m, t₁..t_m, then the kernel vectors.  Callers
-    have fixed the pointwise rank with check_form, so every stalk yields the
-    same m, and their certificate ᵗPΩP catches any disagreement.  On U = ∅
-    there is no stalk and every section equation holds vacuously; m is then
-    taken to be ⌊n/2⌋.
+    NotSquare or NotSkewSymmetric when Ω is not a skew form.  The columns of
+    P are s₁..s_m, t₁..t_m, then the kernel vectors, each point with its own
+    m: only where every point has the same m is ᵗPΩP a normal form, which
+    the callers check from the m's before they certify it.  On U = ∅ there
+    is no stalk and every section equation holds vacuously; the callers then
+    take m to be ⌊n/2⌋.
     """
+    if not _is_skew(omega):
+        raise NotSkewSymmetric("form matrix is not skew-symmetric")
     reduced = [qlinalg.symplectic_reduce(s) for s in omega.stalks]
-    m = reduced[0][0] if reduced else omega.rows // 2
-    return m, SectionMatrix.from_stalks(omega.domain, omega.rows, omega.rows,
-                                        (C for _, C in reduced))
+    return [m for m, _ in reduced], SectionMatrix.from_stalks(
+        omega.domain, omega.rows, omega.rows, (C for _, C in reduced))
+
+
+def _certified(omega: SectionMatrix, m: int, P: SectionMatrix) -> SectionMatrix:
+    """The certificate ᵗPΩP, checked to equal the rank-2m block form of size
+    n (the standard J when 2m = n)."""
+    gram = P.transpose() @ omega @ P
+    if gram != block_normal_form(omega.domain, m, omega.rows):
+        raise AssertionError("certificate ᵗPΩP failed; arithmetic bug")
+    return gram
 
 
 def standard_sum_decomposition(basis: DarbouxBasis) -> KForm:

@@ -399,9 +399,14 @@ def rand_skew_mixed(rng: random.Random, domain, dense: int, moving: int,
     rank 2·m_moving with its indices permuted per point such that no index
     pair pairs to a nonzero value at every point: none of its pairings is a
     unit section.  The pointwise rank is dense + 2·m_moving everywhere.
-    Needs a domain of at least two points.
+    Needs a domain of at least two points.  ValueError when no such
+    permutations exist: 2·m_moving > moving, or moving = 2 = 2·m_moving,
+    whose only index pair is common to every point.
     """
     assert domain.size >= 2 and dense % 2 == 0
+    if 2 * m_moving > moving or moving == 2 == 2 * m_moving:
+        raise ValueError(f"no per-point permutations of a rank-{2 * m_moving} block "
+                         f"of size {moving} avoid a common pair")
     q = rand_invertible_qq(rng, dense)
     dense_stalk = congruence(q, _block_stalk(dense // 2, dense))
     block = _block_stalk(m_moving, moving)

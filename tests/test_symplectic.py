@@ -305,6 +305,73 @@ def test_normal_form_on_empty_open_set_takes_half_the_size():
         assert m == n // 2 and P.rows == P.cols == n
 
 
+# -- rank and degeneracy from the reduction ----------------------------------------------
+
+
+def test_reductions_decide_rank_without_rref(monkeypatch):
+    sp = sierpinski()
+    f = StructureSection.from_mapping(sp.whole, {"a": 1, "b": 0})
+    zero = StructureSection.zero(sp.whole)
+    mixed = SectionMatrix(sp.whole, [[zero, f], [-f, zero]])
+    omega = rand_skew_nondegenerate(random.Random(18), sp.whole, 4)
+    E = sp.empty
+
+    def no_rref(a):
+        raise AssertionError("the reductions must not run an RREF")
+
+    monkeypatch.setattr(qlinalg, "rref", no_rref)
+    assert darboux_basis(standard_J(PT, 2)).gram == standard_J(PT, 2)
+    assert darboux_basis(omega).m == skew_normal_form(omega)[0] == 2
+    assert darboux_basis(SectionMatrix.zeros(E, 4, 4)).m == 2
+    assert skew_normal_form(SectionMatrix.zeros(E, 5, 5))[0] == 2
+    for degenerate, points in ((block_normal_form(PT, 1, 4), ("x",)), (mixed, ("b",))):
+        with pytest.raises(Degenerate) as err:
+            darboux_basis(degenerate)
+        assert err.value.points == points
+    with pytest.raises(NonConstantRank) as err:
+        skew_normal_form(mixed)
+    assert err.value.points == ("b",)
+
+
+def _rand_skew_per_point_rank(rng, domain, n):
+    """A skew form whose pointwise rank is drawn independently per point."""
+    stalks = {p: rand_skew_of_rank(rng, PT, n, rng.randint(0, n // 2)).at_point("x")
+              for p in domain.labels}
+    return SectionMatrix.from_point_data(domain, n, n, stalks.__getitem__)
+
+
+def test_reduction_verdicts_match_check_form():
+    rng = random.Random(19)
+    domains = [sierpinski().whole, discrete(["a", "b", "c"]).whole]
+    for _ in range(40):
+        for U in domains:
+            n = rng.randint(0, 6)
+            omega = _rand_skew_per_point_rank(rng, U, n)
+            report = check_form(omega)
+            ranks = report.ranks
+            if report.nondegenerate:
+                assert darboux_basis(omega).m == n // 2
+            else:
+                with pytest.raises(Degenerate) as err:
+                    darboux_basis(omega)
+                assert err.value.points == tuple(p for p, r in ranks.items() if r < n)
+            if report.constant_rank is not None:
+                assert 2 * skew_normal_form(omega)[0] == report.constant_rank
+            else:
+                with pytest.raises(NonConstantRank) as err:
+                    skew_normal_form(omega)
+                first = ranks[U.labels[0]]
+                assert err.value.points == tuple(p for p, r in ranks.items() if r != first)
+
+
+def test_rand_skew_mixed_rejects_impossible_patterns_at_once():
+    rng = random.Random(20)
+    U = discrete(["a", "b"]).whole
+    for dense, moving, m_moving in ((0, 2, 1), (2, 2, 1), (0, 3, 2)):
+        with pytest.raises(ValueError):
+            rand_skew_mixed(rng, U, dense, moving, m_moving)
+
+
 # -- the standard decomposition ---------------------------------------------------------
 
 
