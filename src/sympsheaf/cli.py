@@ -1,5 +1,13 @@
 """Command-line surface: one JSON problem file in, one report out.
 
+    sympsheaf COMMAND --input FILE [--output json|text] [--seed N]
+
+One flat parser reads this line; options may come before or after COMMAND.
+The commands are the keys of ``_HANDLERS``.  A handler takes the parsed
+problem, the open set U it is posed over (its space is ``U.space``) and the
+seed, and returns (exit code, status, result, certificate); ``main`` writes
+the report under the command's name.
+
 Exit codes: 0 success, 1 domain errors (degenerate form, non-unit
 determinant, failed check, incompatible family), 2 malformed input.  The
 JSON report is byte-stable for a fixed input file and seed; text mode is a
@@ -34,9 +42,6 @@ from .symplectic import (
 )
 from .modules import determinant
 
-SUBCOMMANDS = ("darboux", "normal-form", "check-symplectic", "charpoly",
-               "eigen", "sheaf-check", "wedge")
-
 
 def _load_problem(path: str):
     with open(path, "r", encoding="utf-8") as fh:
@@ -46,19 +51,10 @@ def _load_problem(path: str):
     space = jsonio.space_from_json(problem["space"])
     open_labels = problem.get("open")
     U = space.whole if open_labels is None else jsonio.open_from_json(space, open_labels, "open")
-    return problem, space, U
+    return problem, U
 
 
-def _report(command: str, status: str, result=None, certificate=None, error=None) -> dict:
-    report = {"command": command, "status": status, "result": result}
-    if certificate is not None:
-        report["certificate"] = certificate
-    if error is not None:
-        report["error"] = error
-    return report
-
-
-def _run_darboux(problem, space, U, seed):
+def _run_darboux(problem, U, seed):
     omega = jsonio.matrix_from_json(U, problem["form"], "form")
     basis = darboux_basis(omega)
     result = {
@@ -67,18 +63,18 @@ def _run_darboux(problem, space, U, seed):
         "change_of_basis": jsonio.matrix_to_json(basis.change_of_basis),
     }
     certificate = {"gram": jsonio.matrix_to_json(basis.gram)}
-    return 0, _report("darboux", "ok", result, certificate)
+    return 0, "ok", result, certificate
 
 
-def _run_normal_form(problem, space, U, seed):
+def _run_normal_form(problem, U, seed):
     omega = jsonio.matrix_from_json(U, problem["form"], "form")
     m, P = skew_normal_form(omega)  # checks ᵗPΩP against the block form
     result = {"m": m, "change_of_basis": jsonio.matrix_to_json(P)}
     certificate = {"gram": jsonio.matrix_to_json(block_normal_form(U, m, omega.rows))}
-    return 0, _report("normal-form", "ok", result, certificate)
+    return 0, "ok", result, certificate
 
 
-def _run_check_symplectic(problem, space, U, seed):
+def _run_check_symplectic(problem, U, seed):
     M = jsonio.matrix_from_json(U, problem["matrix"])
     if "form" in problem:
         omega = jsonio.matrix_from_json(U, problem["form"], "form")
@@ -94,20 +90,20 @@ def _run_check_symplectic(problem, space, U, seed):
     result = {"symplectic": ok, "det": jsonio.entry_to_json(determinant(M))}
     certificate = {"pullback": jsonio.matrix_to_json(pullback)}
     if ok:
-        return 0, _report("check-symplectic", "ok", result, certificate)
-    return 1, _report("check-symplectic", "NotSymplectic", result, certificate)
+        return 0, "ok", result, certificate
+    return 1, "NotSymplectic", result, certificate
 
 
-def _run_charpoly(problem, space, U, seed):
+def _run_charpoly(problem, U, seed):
     M = jsonio.matrix_from_json(U, problem["matrix"])
     p = char_poly(M)
     residue = cayley_hamilton_check(M, p)
     result = {"monic": True, "coeffs": jsonio.polynomial_to_json(p)}
     certificate = {"cayley_hamilton_residue": jsonio.matrix_to_json(residue)}
-    return 0, _report("charpoly", "ok", result, certificate)
+    return 0, "ok", result, certificate
 
 
-def _run_eigen(problem, space, U, seed):
+def _run_eigen(problem, U, seed):
     M = jsonio.matrix_from_json(U, problem["matrix"])
     report = eigen_sections(M)
     pairs = [{"lambda": jsonio.entry_to_json(p.lam),
@@ -116,7 +112,7 @@ def _run_eigen(problem, space, U, seed):
     residues = [[0] * M.rows for _ in report.pairs]
     result = {"pairs": pairs, "omitted_points": list(report.omitted_points)}
     certificate = {"residues": residues}
-    return 0, _report("eigen", "ok", result, certificate)
+    return 0, "ok", result, certificate
 
 
 def _axiom_witness_json(witness):
@@ -136,7 +132,8 @@ def _array(problem, key: str) -> list:
     return value
 
 
-def _run_sheaf_check(problem, space, U, seed):
+def _run_sheaf_check(problem, U, seed):
+    space = U.space
     kind = problem.get("presheaf", "functions")
     grid = [jsonio.fraction_from_json(g, f"grid[{i}]")
             for i, g in enumerate(_array(problem, "grid"))] \
@@ -157,17 +154,17 @@ def _run_sheaf_check(problem, space, U, seed):
                "witness": _axiom_witness_json(report.s2.witness)},
     }
     if report.passed:
-        return 0, _report("sheaf-check", "ok", result)
-    return 1, _report("sheaf-check", "CompletenessFailure", result)
+        return 0, "ok", result, None
+    return 1, "CompletenessFailure", result, None
 
 
-def _run_wedge(problem, space, U, seed):
+def _run_wedge(problem, U, seed):
     xi = jsonio.kform_from_json(U, problem["xi"], "xi")
     eta = jsonio.kform_from_json(U, problem["eta"], "eta")
     out = wedge(xi, eta)
     result = {"form": jsonio.kform_to_json(out),
               "degree_overflow": out.degree > out.rank}
-    return 0, _report("wedge", "ok", result)
+    return 0, "ok", result, None
 
 
 _HANDLERS = {
@@ -220,30 +217,31 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sympsheaf",
         description="Exact symplectic algebra over sheaves on finite spaces.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True, help="JSON problem file")
-        p.add_argument("--output", choices=("json", "text"), default="text")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized self-checks (sampled grids)")
+    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("--input", required=True, help="JSON problem file")
+    parser.add_argument("--output", choices=("json", "text"), default="text")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for randomized self-checks (sampled grids)")
     args = parser.parse_args(argv)
-    stream = sys.stdout
+    error = certificate = result = None
     try:
-        problem, space, U = _load_problem(args.input)
-        code, report = _HANDLERS[args.command](problem, space, U, args.seed)
+        problem, U = _load_problem(args.input)
+        code, status, result, certificate = _HANDLERS[args.command](problem, U, args.seed)
     except AlgebraError as exc:
-        error = {"name": type(exc).__name__, "message": str(exc)}
+        code, status = 1, type(exc).__name__
+        error = {"name": status, "message": str(exc)}
         witness = exc.points or exc.witness
         if witness is not None:
             error["witness"] = _jsonable(witness)
-        _emit(_report(args.command, type(exc).__name__, error=error), args.output, stream)
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
-        error = {"name": "MalformedInput", "message": f"{type(exc).__name__}: {exc}"}
-        _emit(_report(args.command, "MalformedInput", error=error), args.output, stream)
-        return 2
-    _emit(report, args.output, stream)
+    except (OSError, KeyError, TypeError, ValueError, IndexError) as exc:
+        code, status = 2, "MalformedInput"
+        error = {"name": status, "message": f"{type(exc).__name__}: {exc}"}
+    report = {"command": args.command, "status": status, "result": result}
+    if certificate is not None:
+        report["certificate"] = certificate
+    if error is not None:
+        report["error"] = error
+    _emit(report, args.output, sys.stdout)
     return code
 
 

@@ -43,9 +43,23 @@ def space_to_json(space: FiniteSpace) -> dict:
             "opens": [list(space.labels_of(m)) for m in sorted(space.opens)]}
 
 
-def space_from_json(obj: dict) -> FiniteSpace:
+def space_from_json(obj: Any) -> FiniteSpace:
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"space: not an object: {obj!r}")
+    points, opens = obj["points"], obj["opens"]
+    for key, value in (("points", points), ("opens", opens)):
+        if not isinstance(value, list):
+            raise MalformedInput(f"space.{key}: not an array: {value!r}")
+    for i, p in enumerate(points):
+        if not isinstance(p, str):
+            raise MalformedInput(f"space.points[{i}]: not a string: {p!r}")
+        if p in points[:i]:
+            raise MalformedInput(f"space.points[{i}]: duplicate point label {p!r}")
+    for i, labels in enumerate(opens):
+        if not isinstance(labels, list):
+            raise MalformedInput(f"space.opens[{i}]: not an array: {labels!r}")
     try:
-        return validate_topology(obj["points"], obj["opens"])
+        return validate_topology(points, opens)
     except (TopologyError, UnknownPoint) as exc:
         raise MalformedInput(f"space.opens: {exc}") from None
 

@@ -97,7 +97,8 @@ def rref(a: QMatrix) -> tuple[QMatrix, list[int]]:
 
 
 def rank(a: QMatrix) -> int:
-    return len(rref(a)[1])
+    """The number of pivots of the elimination of D·a."""
+    return len(_gauss_jordan(scaled(a)[1])[0])
 
 
 def kernel_basis(a: QMatrix) -> list[list[Fraction]]:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from sympsheaf import KForm, is_symplectic_map, point_space, standard_J
-from sympsheaf.cli import main
+from sympsheaf.cli import _HANDLERS, main
 from sympsheaf.errors import MalformedInput
 from sympsheaf.jsonio import kform_from_json, matrix_from_json, space_from_json
 
@@ -44,6 +44,8 @@ CASES = [
     ("charpoly", "matrix_not_array", 2),
     ("charpoly", "matrix_row_not_array", 2),
     ("charpoly", "problem_not_object", 2),
+    ("charpoly", "space_not_object", 2),
+    ("charpoly", "space_points_not_array", 2),
     ("eigen", "eigen_sections", 0),
     ("eigen", "rect", 1),
     ("eigen", "malformed", 2),
@@ -78,6 +80,10 @@ def run_cli(command, case, output="json", seed=None):
     argv = [command, "--input", str(DATA / f"{case}.json"), "--output", output]
     if seed is not None:
         argv += ["--seed", str(seed)]
+    return run_argv(argv)
+
+
+def run_argv(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(argv)
@@ -206,3 +212,37 @@ def test_unreadable_input_is_malformed():
     code, out = run_cli("darboux", "no_such_file")
     assert code == 2
     assert json.loads(out)["status"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("argv", [["no-such-command", "--input", str(DATA / "rot.json")],
+                                  ["charpoly", "--output", "json"]],
+                         ids=["unknown-command", "missing-input"])
+def test_bad_arguments_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_options_may_come_before_the_command():
+    options_first = run_argv(["--output", "json", "--input", str(DATA / "rot.json"), "charpoly"])
+    assert options_first == run_cli("charpoly", "rot")
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert [name for name in _HANDLERS if name not in out] == []
+
+
+@pytest.mark.parametrize("space,field", [
+    ({"points": ["x", 1], "opens": [[], ["x"]]}, "space.points[1]: not a string"),
+    ({"points": ["x", "x"], "opens": [[], ["x"]]}, "space.points[1]: duplicate point label"),
+    ({"points": ["x"], "opens": "x"}, "space.opens: not an array"),
+    ({"points": ["x"], "opens": [[], "x"]}, "space.opens[1]: not an array"),
+])
+def test_space_fields_are_named(space, field):
+    with pytest.raises(MalformedInput, match=rf"^{re.escape(field)}"):
+        space_from_json(space)
