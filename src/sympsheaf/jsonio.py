@@ -46,10 +46,12 @@ def space_to_json(space: FiniteSpace) -> dict:
 def space_from_json(obj: Any) -> FiniteSpace:
     if not isinstance(obj, dict):
         raise MalformedInput(f"space: not an object: {obj!r}")
+    for key in ("points", "opens"):
+        if key not in obj:
+            raise MalformedInput(f"space.{key}: missing")
+        if not isinstance(obj[key], list):
+            raise MalformedInput(f"space.{key}: not an array: {obj[key]!r}")
     points, opens = obj["points"], obj["opens"]
-    for key, value in (("points", points), ("opens", opens)):
-        if not isinstance(value, list):
-            raise MalformedInput(f"space.{key}: not an array: {value!r}")
     for i, p in enumerate(points):
         if not isinstance(p, str):
             raise MalformedInput(f"space.points[{i}]: not a string: {p!r}")
@@ -58,6 +60,9 @@ def space_from_json(obj: Any) -> FiniteSpace:
     for i, labels in enumerate(opens):
         if not isinstance(labels, list):
             raise MalformedInput(f"space.opens[{i}]: not an array: {labels!r}")
+        for j, p in enumerate(labels):
+            if not isinstance(p, str):
+                raise MalformedInput(f"space.opens[{i}][{j}]: not a string: {p!r}")
     try:
         return validate_topology(points, opens)
     except (TopologyError, UnknownPoint) as exc:

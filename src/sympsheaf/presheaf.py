@@ -12,13 +12,24 @@ over U by a key, and restricts keys along inclusions with a restrictor
 built once per pair of opens.  Since A(U) = ∏_{x∈U} ℚ, a function section
 is named by its tuple of grid indices and restricts by an index gather.
 S1 buckets the carrier keys over U by their tuple of restrictions to the
-cover members.  S2 and sheafify_sections walk the one compatible-family
-enumerator, a natural join of the member carriers on their keys over the
-overlaps; a family glues iff its member keys name an S1 bucket.  Section
-objects are built only for the S1/S2 witnesses and for public output.  For
-infinite section sets (all ℚ-valued functions) the carrier samples a
-deterministic finite grid of rationals; within the sampled carrier the
-verdict is exact.
+cover members.
+
+S2 runs over one overlap plan per (presheaf, cover).  Member V_l checks only
+the maximal opens among its nonempty overlaps V_i ∩ V_l, i < l; the smaller
+overlaps follow by functoriality.  A state holds one key per open W that is
+live: W enters at the first member containing it and leaves after the last
+member that checks it.  Each member has one table from its keys' restrictions
+to the checked overlaps onto its keys, with their restrictions to the opens
+entering there.  Counting walks the members breadth first over states
+(bucket elimination, Dechter 1999) and gives the number of distinct
+compatible families.  Every S1 bucket is one, since carriers are closed
+under restriction, so S2 passes iff the count is the number of buckets.
+Otherwise the depth-first walk over the same plan, in carrier order, finds
+the first family that hits no bucket: the witness.  sheafify_sections lists
+the families with the same walk.  Section objects are
+built only for the S1/S2 witnesses and for public output.  For infinite
+section sets (all ℚ-valued functions) the carrier samples a deterministic
+finite grid of rationals; within the sampled carrier the verdict is exact.
 
 glue_stalkwise is the one gluing routine, for every stalkwise object
 (section, vector, matrix, polynomial, form): it checks the overlaps and
@@ -33,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, IncompatibleFamily, NonEnumerableSections
 from .sections import StructureSection, _Stalkwise
@@ -69,15 +80,26 @@ def _identity(k):
     return k
 
 
+def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The tuple of the items at the given positions of a tuple."""
+    if not positions:
+        return lambda k: ()
+    if len(positions) == 1:  # itemgetter of one index returns the item, not a tuple
+        i, = positions
+        return lambda k: (k[i],)
+    return itemgetter(*positions)
+
+
 class Presheaf:
     """Base interface: enumerate sections over an open, restrict, and key them.
 
     check_completeness and the compatible-family join run on keys alone:
     `_keys(U)` is the carrier over U as hashable keys, in carrier order;
     `_restrictor(U, V)` maps a key over U to the key of its restriction to
-    an open V ⊆ U; `_section(k, U)` is the section the key k names.  The
-    defaults key each section s by `key(s)`, which must then name s: by
-    default it is s itself.
+    an open V ⊆ U, which must land in `_keys(V)` (S2 counts the compatible
+    families and relies on each S1 bucket being one); `_section(k, U)` is
+    the section the key k names.  The defaults key each section s by
+    `key(s)`, which must then name s: by default it is s itself.
     """
 
     space: FiniteSpace
@@ -128,13 +150,7 @@ class FunctionPresheaf(Presheaf):
         return list(product(self._first, repeat=U.size))
 
     def _restrictor(self, U: OpenSet, V: OpenSet) -> Callable:
-        gather = _gather(U.mask, V.mask)
-        if not gather:
-            return lambda k: ()
-        if len(gather) == 1:  # itemgetter of one index returns the item, not a tuple
-            i, = gather
-            return lambda k: (k[i],)
-        return itemgetter(*gather)
+        return _tuple_getter(_gather(U.mask, V.mask))
 
     def _section(self, k: tuple[int, ...], U: OpenSet) -> StructureSection:
         grid = self.grid
@@ -252,48 +268,114 @@ def check_completeness(presheaf: Presheaf, U: OpenSet,
                                                     presheaf._section(distinct[1], U)))
             break
 
-    # S2: a family glues iff its tuple of member keys is the restriction tuple
-    # of some carrier key, i.e. hits an S1 bucket.
-    unglued = next((keys for keys in _compatible_keys(presheaf, cover)
-                    if keys not in buckets), None)
+    # S2: every bucket is a compatible family, so all of them glue iff there
+    # are as many distinct families as buckets; else the first unglued
+    # family in carrier order is the witness.
+    plan = _overlap_plan(presheaf, cover)
+    unglued = (None if _count_families(plan) == len(buckets)
+               else next((keys for keys in _compatible_keys(plan) if keys not in buckets), None))
     s2 = (AxiomReport("S2", "fail", witness=_family(presheaf, cover, unglued))
           if unglued is not None else AxiomReport("S2", "pass"))
     return CompletenessReport(s1, s2)
 
 
-def _compatible_keys(presheaf: Presheaf, cover: Sequence[OpenSet]):
-    """Yield the member keys of every compatible family over the cover, in
-    lexicographic carrier order.
+class _Step(NamedTuple):
+    """One cover member V_l of an overlap plan.  `look` takes the state to its
+    keys on V_l's checked overlaps, `keep` to its keys on the opens still
+    live after V_l; `table` maps the restrictions of V_l's carrier keys to the
+    checked overlaps onto the list of (key, restrictions to the opens that
+    enter the state at V_l), in carrier order with duplicate keys kept."""
 
-    Each member's carrier keys are bucketed by their restrictions to the
-    nonempty overlaps with the earlier members, so a partial family extends
-    only through the bucket its chosen keys select (a hash join): no
-    candidate is tried and rejected.
-    """
-    cover = tuple(cover)
-    index: list[dict[tuple, list]] = []
-    lookups: list[list[tuple[int, Callable]]] = []
-    for j, V in enumerate(cover):
-        overlaps = [(i, cover[i].intersection(V)) for i in range(j) if cover[i].mask & V.mask]
-        own = [presheaf._restrictor(V, o) for _, o in overlaps]
-        bucket: dict[tuple, list] = {}
+    look: Callable[[tuple], tuple]
+    keep: Callable[[tuple], tuple]
+    table: dict[tuple, list[tuple[Any, tuple]]]
+
+
+def _overlap_plan(presheaf: Presheaf, cover: Sequence[OpenSet]) -> list[_Step]:
+    """The overlap plan of the cover: V_l checks the maximal opens among the
+    nonempty V_i ∩ V_l, i < l.  Agreement there implies agreement on every
+    smaller overlap, by functoriality and agreement among the earlier
+    members.  The state holds one key per open W, from the first member that
+    contains W until the last member that checks it."""
+    masks = [V.mask for V in cover]
+    checked: list[list[int]] = []
+    entering: list[list[int]] = [[] for _ in masks]
+    last: dict[int, int] = {}
+    for l, v in enumerate(masks):
+        maximal: list[int] = []
+        for w in sorted({u & v for u in masks[:l]} - {0}, key=int.bit_count, reverse=True):
+            if all(w & ~m for m in maximal):
+                maximal.append(w)
+                if w not in last:
+                    entering[next(i for i, u in enumerate(masks) if not w & ~u)].append(w)
+                last[w] = l
+        checked.append(maximal)
+
+    plan: list[_Step] = []
+    live: list[int] = []  # the opens the state holds keys of, in state order
+    for l, V in enumerate(cover):
+        look = [live.index(w) for w in checked[l]]
+        kept = list(range(len(live)))
+        for p in sorted((p for p, w in zip(look, checked[l]) if last[w] == l), reverse=True):
+            del kept[p], live[p]
+        live += entering[l]
+        checks = [presheaf._restrictor(V, V.space.open_from_mask(w)) for w in checked[l]]
+        enters = [presheaf._restrictor(V, V.space.open_from_mask(w)) for w in entering[l]]
+        table: dict[tuple, list[tuple[Any, tuple]]] = {}
         for k in presheaf._keys(V):
-            bucket.setdefault(tuple(r(k) for r in own), []).append(k)
-        index.append(bucket)
-        lookups.append([(i, presheaf._restrictor(cover[i], o)) for i, o in overlaps])
+            table.setdefault(tuple([r(k) for r in checks]), []).append(
+                (k, tuple([r(k) for r in enters])))
+        plan.append(_Step(_tuple_getter(look), _tuple_getter(kept), table))
+    return plan
+
+
+def _count_families(plan: Sequence[_Step]) -> int:
+    """The number of distinct compatible families over the plan's cover,
+    without listing them: breadth first over the members, the number of
+    partial families per state.  Keys of one member that agree on the opens
+    entering the state there lead to the same next state, so each bucket is
+    reduced to its distinct keys, counted by their entering restrictions."""
+    counts: dict[tuple, int] = {(): 1}
+    for look, keep, table in plan:
+        fanout = {wanted: _fanout(bucket) for wanted, bucket in table.items()}
+        following: dict[tuple, int] = {}
+        for state, n in counts.items():
+            kept = keep(state)
+            for enters, m in fanout.get(look(state), ()):
+                after = kept + enters
+                following[after] = following.get(after, 0) + n * m
+        counts = following
+    return sum(counts.values())
+
+
+def _fanout(bucket: list[tuple[Any, tuple]]):
+    """A table bucket as (entering restrictions, number of distinct keys)."""
+    counts: dict[tuple, int] = {}
+    for enters in dict(bucket).values():
+        counts[enters] = counts.get(enters, 0) + 1
+    return counts.items()
+
+
+def _compatible_keys(plan: Sequence[_Step]):
+    """Yield the member keys of every compatible family over the plan's
+    cover, in lexicographic carrier order, duplicate keys included: depth
+    first over the members, each extending a partial family only through the
+    table bucket its state selects (a hash join), so no candidate is tried
+    and rejected."""
     chosen: list = []
 
-    def extend(j):
-        if j == len(cover):
+    def extend(l, state):
+        if l == len(plan):
             yield tuple(chosen)
             return
-        wanted = tuple(r(chosen[i]) for i, r in lookups[j])
-        for k in index[j].get(wanted, ()):
+        look, keep, table = plan[l]
+        kept = keep(state)
+        for k, enters in table.get(look(state), ()):
             chosen.append(k)
-            yield from extend(j + 1)
+            yield from extend(l + 1, kept + enters)
             chosen.pop()
 
-    yield from extend(0)
+    yield from extend(0, ())
 
 
 def _family(presheaf: Presheaf, cover: Sequence[OpenSet], keys: tuple) -> CompatibleFamily:
@@ -305,7 +387,8 @@ def _compatible_families(presheaf: Presheaf, cover: Sequence[OpenSet]):
     """Yield every compatible family over the cover, in lexicographic carrier
     order: the key families of _compatible_keys, as sections."""
     cover = tuple(cover)
-    return (_family(presheaf, cover, keys) for keys in _compatible_keys(presheaf, cover))
+    return (_family(presheaf, cover, keys)
+            for keys in _compatible_keys(_overlap_plan(presheaf, cover)))
 
 
 def sheafify_sections(presheaf: Presheaf, U: OpenSet) -> list[CompatibleFamily]:

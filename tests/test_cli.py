@@ -46,6 +46,8 @@ CASES = [
     ("charpoly", "problem_not_object", 2),
     ("charpoly", "space_not_object", 2),
     ("charpoly", "space_points_not_array", 2),
+    ("charpoly", "space_points_missing", 2),
+    ("charpoly", "space_open_member_not_string", 2),
     ("eigen", "eigen_sections", 0),
     ("eigen", "rect", 1),
     ("eigen", "malformed", 2),
@@ -242,6 +244,11 @@ def test_help_names_every_command(capsys):
     ({"points": ["x", "x"], "opens": [[], ["x"]]}, "space.points[1]: duplicate point label"),
     ({"points": ["x"], "opens": "x"}, "space.opens: not an array"),
     ({"points": ["x"], "opens": [[], "x"]}, "space.opens[1]: not an array"),
+    ({"opens": [[], ["x"]]}, "space.points: missing"),
+    ({"points": ["x"]}, "space.opens: missing"),
+    ({"points": ["x"], "opens": [[], [["x"]]]}, "space.opens[1][0]: not a string: ['x']"),
+    ({"points": ["x", "y"], "opens": [[], ["x", 1], ["x", "y"]]},
+     "space.opens[1][1]: not a string"),
 ])
 def test_space_fields_are_named(space, field):
     with pytest.raises(MalformedInput, match=rf"^{re.escape(field)}"):

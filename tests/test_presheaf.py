@@ -33,7 +33,8 @@ from sympsheaf.errors import (
     NotAnOpenCover,
 )
 from sympsheaf import presheaf as presheaf_module
-from sympsheaf.presheaf import _compatible_families
+from sympsheaf.presheaf import (_compatible_families, _compatible_keys, _count_families,
+                                _overlap_plan)
 
 from oracles import check_completeness_sections
 
@@ -164,11 +165,15 @@ def germ_sampled(sp, grid):
     return GermSampledPresheaf(sp, shifts + shifts[:1])
 
 
-@pytest.mark.parametrize("grid", [(F(0), F(1)), (F(0), F(1), F(-1, 2)), (F(0), F(1), F(0)),
-                                  (F(1), F(2, 2), F(2))],
-                         ids=["grid2", "grid3", "repeated", "equal-values"])
-@pytest.mark.parametrize("make", [FunctionPresheaf, ConstantPresheaf, germ_sampled],
-                         ids=["functions", "constant", "germs"])
+GRIDS = pytest.mark.parametrize("grid", [(F(0), F(1)), (F(0), F(1), F(-1, 2)), (F(0), F(1), F(0)),
+                                         (F(1), F(2, 2), F(2))],
+                                ids=["grid2", "grid3", "repeated", "equal-values"])
+KINDS = pytest.mark.parametrize("make", [FunctionPresheaf, ConstantPresheaf, germ_sampled],
+                                ids=["functions", "constant", "germs"])
+
+
+@GRIDS
+@KINDS
 def test_key_path_matches_section_oracle(make, grid):
     # S1/S2 decided on carrier keys give the statuses and witnesses that the
     # same decision on section objects gives
@@ -181,6 +186,72 @@ def test_key_path_matches_section_oracle(make, grid):
                 assert report == check_completeness_sections(presheaf, U, cover), (sp, U, cover)
                 failed += not report.passed
     assert bool(failed) == (make is ConstantPresheaf)
+
+
+def assert_count_matches_enumeration(presheaf, U, cover):
+    """The count is the number of distinct families the walk enumerates, and
+    every S1 bucket is one of them: carriers are closed under restriction."""
+    plan = _overlap_plan(presheaf, cover)
+    families = set(_compatible_keys(plan))
+    assert _count_families(plan) == len(families), (U, cover)
+    restrictors = [presheaf._restrictor(U, V) for V in cover]
+    assert {tuple(r(k) for r in restrictors) for k in presheaf._keys(U)} <= families, (U, cover)
+
+
+@GRIDS
+@KINDS
+def test_family_count_matches_enumeration_on_three_points(make, grid):
+    for sp in enumerate_topologies(["a", "b", "c"]):
+        presheaf = make(sp, grid)
+        for U in sp.all_opens():
+            for cover in covers_up_to_three(U):
+                assert_count_matches_enumeration(presheaf, U, cover)
+
+
+@pytest.mark.parametrize("make", [FunctionPresheaf, ConstantPresheaf],
+                         ids=["functions", "constant"])
+def test_family_count_matches_enumeration_on_four_points(make):
+    # covered by every nonempty open inside it, a member meets many earlier
+    # members but checks only the maximal overlaps among them
+    for sp in enumerate_topologies(["a", "b", "c", "d"]):
+        presheaf = make(sp, (F(0), F(1)))
+        for U in sp.all_opens():
+            assert_count_matches_enumeration(
+                presheaf, U, [V for V in sp.all_opens() if V.mask and V.is_subset(U)])
+
+
+def test_repeated_grid_value_families_are_counted_once():
+    # 0 twice on the 3-point chain: the walk yields every choice of carrier
+    # key, duplicates included, and the count the distinct families
+    points = ["p0", "p1", "p2"]
+    sp = validate_topology(points, [points[k:] for k in range(4)])
+    plan = _overlap_plan(FunctionPresheaf(sp, (F(0), F(1), F(0))), minimal_cover(sp.whole))
+    families = list(_compatible_keys(plan))
+    assert (len(families), len(set(families)), _count_families(plan)) == (135, 8, 8)
+
+
+class Walked(Exception):
+    pass
+
+
+def test_passing_s2_does_not_walk_the_families(monkeypatch):
+    def walk(plan):
+        raise Walked
+
+    monkeypatch.setattr(presheaf_module, "_compatible_keys", walk)
+    points = [f"p{i}" for i in range(6)]
+    chain = validate_topology(points, [points[k:] for k in range(7)])
+    functions = FunctionPresheaf(chain, (F(0), F(1), F(-1, 2), F(2)))
+    assert check_completeness(functions, chain.whole, minimal_cover(chain.whole)).passed
+    antichain = discrete([f"q{i}" for i in range(7)])
+    opens = [V for V in antichain.all_opens() if V.mask]
+    assert len(opens) == 127
+    constant = ConstantPresheaf(antichain, GRID)
+    assert check_completeness(constant, antichain.whole, opens).passed
+    # a failing S2 walks to its witness
+    with pytest.raises(Walked):
+        check_completeness(constant, antichain.whole,
+                           [antichain.open_set([p]) for p in antichain.points])
 
 
 def test_key_path_builds_sections_only_for_witnesses(monkeypatch):
