@@ -26,10 +26,10 @@ compatible families.  Every S1 bucket is one, since carriers are closed
 under restriction, so S2 passes iff the count is the number of buckets.
 Otherwise the depth-first walk over the same plan, in carrier order, finds
 the first family that hits no bucket: the witness.  sheafify_sections lists
-the families with the same walk.  Section objects are
-built only for the S1/S2 witnesses and for public output.  For infinite
-section sets (all ℚ-valued functions) the carrier samples a deterministic
-finite grid of rationals; within the sampled carrier the verdict is exact.
+the families with the same walk.  Section objects are built only for the
+S1/S2 witnesses and for public output.  For infinite section sets (all
+ℚ-valued functions) the carrier samples a deterministic finite grid of
+rationals; within the sampled carrier the verdict is exact.
 
 glue_stalkwise is the one gluing routine, for every stalkwise object
 (section, vector, matrix, polynomial, form): it checks the overlaps and
