@@ -48,14 +48,14 @@ def _load_problem(path: str):
         problem = json.load(fh)
     if not isinstance(problem, dict):
         raise MalformedInput("problem: not a JSON object")
-    space = jsonio.space_from_json(problem["space"])
+    space = jsonio.space_from_json(_field(problem, "space"))
     open_labels = problem.get("open")
     U = space.whole if open_labels is None else jsonio.open_from_json(space, open_labels, "open")
     return problem, U
 
 
 def _run_darboux(problem, U, seed):
-    omega = jsonio.matrix_from_json(U, problem["form"], "form")
+    omega = jsonio.matrix_from_json(U, _field(problem, "form"), "form")
     basis = darboux_basis(omega)
     result = {
         "m": basis.m,
@@ -67,7 +67,7 @@ def _run_darboux(problem, U, seed):
 
 
 def _run_normal_form(problem, U, seed):
-    omega = jsonio.matrix_from_json(U, problem["form"], "form")
+    omega = jsonio.matrix_from_json(U, _field(problem, "form"), "form")
     m, P = skew_normal_form(omega)  # checks ᵗPΩP against the block form
     result = {"m": m, "change_of_basis": jsonio.matrix_to_json(P)}
     certificate = {"gram": jsonio.matrix_to_json(block_normal_form(U, m, omega.rows))}
@@ -75,7 +75,7 @@ def _run_normal_form(problem, U, seed):
 
 
 def _run_check_symplectic(problem, U, seed):
-    M = jsonio.matrix_from_json(U, problem["matrix"])
+    M = jsonio.matrix_from_json(U, _field(problem, "matrix"))
     if "form" in problem:
         omega = jsonio.matrix_from_json(U, problem["form"], "form")
         if omega.rows != M.rows or omega.cols != M.rows:
@@ -95,7 +95,7 @@ def _run_check_symplectic(problem, U, seed):
 
 
 def _run_charpoly(problem, U, seed):
-    M = jsonio.matrix_from_json(U, problem["matrix"])
+    M = jsonio.matrix_from_json(U, _field(problem, "matrix"))
     p = char_poly(M)
     residue = cayley_hamilton_check(M, p)
     result = {"monic": True, "coeffs": jsonio.polynomial_to_json(p)}
@@ -104,7 +104,7 @@ def _run_charpoly(problem, U, seed):
 
 
 def _run_eigen(problem, U, seed):
-    M = jsonio.matrix_from_json(U, problem["matrix"])
+    M = jsonio.matrix_from_json(U, _field(problem, "matrix"))
     report = eigen_sections(M)
     pairs = [{"lambda": jsonio.entry_to_json(p.lam),
               "vector": jsonio.vector_to_json(p.vector)} for p in report.pairs]
@@ -125,8 +125,14 @@ def _axiom_witness_json(witness):
     return {"left": _jsonable(left), "right": _jsonable(right)}
 
 
+def _field(problem, key: str):
+    if key not in problem:
+        raise MalformedInput(f"{key}: missing")
+    return problem[key]
+
+
 def _array(problem, key: str) -> list:
-    value = problem[key]
+    value = _field(problem, key)
     if not isinstance(value, list):
         raise MalformedInput(f"{key}: not an array: {value!r}")
     return value
@@ -159,8 +165,8 @@ def _run_sheaf_check(problem, U, seed):
 
 
 def _run_wedge(problem, U, seed):
-    xi = jsonio.kform_from_json(U, problem["xi"], "xi")
-    eta = jsonio.kform_from_json(U, problem["eta"], "eta")
+    xi = jsonio.kform_from_json(U, _field(problem, "xi"), "xi")
+    eta = jsonio.kform_from_json(U, _field(problem, "eta"), "eta")
     out = wedge(xi, eta)
     result = {"form": jsonio.kform_to_json(out),
               "degree_overflow": out.degree > out.rank}

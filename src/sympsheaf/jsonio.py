@@ -91,6 +91,8 @@ def section_from_json(domain: OpenSet, obj: Any, field: str) -> StructureSection
             raise MalformedInput(
                 f"{field}.open: section declared over {declared}, expected {domain}")
         values = obj["values"]
+        if not isinstance(values, dict):
+            raise MalformedInput(f"{field}.values: not an object: {values!r}")
         odd = sorted(set(values) ^ set(domain.labels), key=lambda p: (p not in values, p))
         if odd:
             where = "not in" if odd[0] in values else "missing from"

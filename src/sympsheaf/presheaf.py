@@ -7,12 +7,14 @@ along inclusions.  check_completeness transliterates the two axioms:
   S1 (locality): sections agreeing on every member of a cover are equal;
   S2 (gluing):   every compatible family over a cover comes from a section.
 
-Both are decided on hashable *keys*: a presheaf names each carrier section
-over U by a key, and restricts keys along inclusions with a restrictor
-built once per pair of opens.  Since A(U) = ∏_{x∈U} ℚ, a function section
-is named by its tuple of grid indices and restricts by an index gather.
-S1 buckets the carrier keys over U by their tuple of restrictions to the
-cover members.
+A carrier is a set: a presheaf names each section over U once, by an
+integer key, and restricts keys along inclusions with a restrictor built
+once per pair of opens.  Since A(U) = ∏_{x∈U} ℚ, a function section is named
+by its tuple of indices into the grid of distinct values and restricts by an
+index gather; a constant by its grid index; a germ-sampled section by its
+position in the carrier.  S1 buckets the carrier keys over U by their tuple
+of restrictions to the cover members, and fails on the first bucket with two
+keys.
 
 S2 runs over one overlap plan per (presheaf, cover).  Member V_l checks only
 the maximal opens among its nonempty overlaps V_i ∩ V_l, i < l; the smaller
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, IncompatibleFamily, NonEnumerableSections
 from .sections import StructureSection, _Stalkwise
@@ -69,13 +71,6 @@ def sample_grid(seed: int, size: int = 2) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _first_occurrences(grid: Sequence[Fraction]) -> tuple[int, ...]:
-    """Each grid value as the index of its first occurrence, so that equal
-    values (a repeated 0, or 1 and 2/2) get equal keys."""
-    first: dict[Fraction, int] = {}
-    return tuple(first.setdefault(g, i) for i, g in enumerate(grid))
-
-
 def _identity(k):
     return k
 
@@ -93,13 +88,12 @@ def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
 class Presheaf:
     """Base interface: enumerate sections over an open, restrict, and key them.
 
-    check_completeness and the compatible-family join run on keys alone:
-    `_keys(U)` is the carrier over U as hashable keys, in carrier order;
-    `_restrictor(U, V)` maps a key over U to the key of its restriction to
-    an open V ⊆ U, which must land in `_keys(V)` (S2 counts the compatible
-    families and relies on each S1 bucket being one); `_section(k, U)` is
-    the section the key k names.  The defaults key each section s by
-    `key(s)`, which must then name s: by default it is s itself.
+    check_completeness and the compatible-family join run on keys alone, and
+    a subclass supplies three methods for them.  `_keys(U)` names each
+    carrier section over U once, in carrier order.  `_restrictor(U, V)` maps
+    a key over U to the key of its restriction to an open V ⊆ U, which must
+    be in `_keys(V)`: S2 counts the compatible families and relies on each
+    S1 bucket being one.  `_section(k, U)` is the section the key k names.
     """
 
     space: FiniteSpace
@@ -110,44 +104,28 @@ class Presheaf:
     def restrict(self, s, V: OpenSet):
         return s.restrict(V)
 
-    def key(self, s):
-        return s
-
-    def _keys(self, U: OpenSet) -> list:
-        return [self.key(s) for s in self.sections(U)]
-
-    def _restrictor(self, U: OpenSet, V: OpenSet) -> Callable:
-        return lambda k: self.key(self.restrict(k, V))
-
-    def _section(self, k, U: OpenSet):
-        return k
-
 
 class FunctionPresheaf(Presheaf):
     """The structure sheaf A: all functions U → grid (a sampled slice of ℚ^U).
 
     The carrier over U is closed under restriction and pointwise gluing, so
-    S1/S2 checks within it are exact.  A carrier key is the tuple of grid
-    indices of a section's values at the points of U, so restriction is an
-    index gather.
+    S1/S2 checks within it are exact.  `grid` holds each value once, and a
+    carrier key is the tuple of grid indices of a section's values at the
+    points of U, so restriction is an index gather.
     """
 
     def __init__(self, space: FiniteSpace, grid: Sequence[Fraction] = DEFAULT_GRID):
         self.space = space
-        self.grid = tuple(Fraction(g) for g in grid)
-        self._first = _first_occurrences(self.grid)
+        self.grid = tuple(dict.fromkeys(Fraction(g) for g in grid))  # 1 and 2/2 once
 
     def sections(self, U: OpenSet) -> list[StructureSection]:
         return [self._section(k, U) for k in self._keys(U)]
 
-    def key(self, s: StructureSection):
-        return (s.domain.mask, s.stalks)
-
-    def _keys(self, U: OpenSet) -> list[tuple[int, ...]]:
+    def _keys(self, U: OpenSet) -> Iterator[tuple[int, ...]]:
         count = len(self.grid) ** U.size
         if count > CARRIER_CAP:
             raise NonEnumerableSections(f"{count} sections over {U} exceed the enumeration cap")
-        return list(product(self._first, repeat=U.size))
+        return product(range(len(self.grid)), repeat=U.size)
 
     def _restrictor(self, U: OpenSet, V: OpenSet) -> Callable:
         return _tuple_getter(_gather(U.mask, V.mask))
@@ -161,14 +139,13 @@ class ConstantPresheaf(Presheaf):
     """The constant presheaf P(U) = grid with identity restrictions.
 
     Not a sheaf: compatible families over disjoint covers need not glue, and
-    two constants agree vacuously over the empty cover of ∅.  A carrier key
-    is a grid index.
+    two constants agree vacuously over the empty cover of ∅.  `grid` holds
+    each value once, and a carrier key is a grid index.
     """
 
     def __init__(self, space: FiniteSpace, grid: Sequence[Fraction] = DEFAULT_GRID):
         self.space = space
-        self.grid = tuple(Fraction(g) for g in grid)
-        self._first = _first_occurrences(self.grid)
+        self.grid = tuple(dict.fromkeys(Fraction(g) for g in grid))  # 1 and 2/2 once
 
     def sections(self, U: OpenSet) -> list[Fraction]:
         return list(self.grid)
@@ -176,8 +153,8 @@ class ConstantPresheaf(Presheaf):
     def restrict(self, s, V: OpenSet):
         return s
 
-    def _keys(self, U: OpenSet) -> list[int]:
-        return list(self._first)
+    def _keys(self, U: OpenSet) -> range:
+        return range(len(self.grid))
 
     def _restrictor(self, U: OpenSet, V: OpenSet) -> Callable:
         return _identity
@@ -197,21 +174,41 @@ class GermSampledPresheaf(Presheaf):
     carrier restricts and glues within itself, so completeness checks are
     meaningful for presheaves (symplectic maps, eigenpairs) whose full
     carrier is not enumerable.  The samples are stalkwise objects of one
-    shape over the whole space.  Each carrier is built once per open.
+    shape over the whole space.  A carrier key is a position in the carrier;
+    each carrier is built once per open, and each restriction of positions
+    once per pair of opens.
     """
 
     def __init__(self, space: FiniteSpace, samples: Sequence[_Stalkwise]):
         self.space = space
         self.samples = tuple(samples)
         self._carriers: dict[int, tuple[_Stalkwise, ...]] = {}
+        self._restrictions: dict[tuple[int, int], list[int]] = {}
 
     def sections(self, U: OpenSet) -> list[_Stalkwise]:
+        return list(self._carrier(U))
+
+    def _keys(self, U: OpenSet) -> range:
+        return range(len(self._carrier(U)))
+
+    def _restrictor(self, U: OpenSet, V: OpenSet) -> Callable[[int], int]:
+        restricted = self._restrictions.get((U.mask, V.mask))
+        if restricted is None:
+            position = {s: k for k, s in enumerate(self._carrier(V))}
+            restricted = self._restrictions[U.mask, V.mask] = [
+                position[s.restrict(V)] for s in self._carrier(U)]
+        return restricted.__getitem__
+
+    def _section(self, k: int, U: OpenSet) -> _Stalkwise:
+        return self._carrier(U)[k]
+
+    def _carrier(self, U: OpenSet) -> tuple[_Stalkwise, ...]:
         carrier = self._carriers.get(U.mask)
         if carrier is None:
-            carrier = self._carriers[U.mask] = tuple(self._carrier(U))
-        return list(carrier)
+            carrier = self._carriers[U.mask] = tuple(self._build(U))
+        return carrier
 
-    def _carrier(self, U: OpenSet):
+    def _build(self, U: OpenSet):
         cover = minimal_cover(U)
         if not U.mask or U in cover:  # ∅ or some U_x: the distinct sample germs
             return dict.fromkeys(s.restrict(U) for s in self.samples)
@@ -263,9 +260,9 @@ def check_completeness(presheaf: Presheaf, U: OpenSet,
         buckets.setdefault(tuple(r(k) for r in restrictors), []).append(k)
     s1 = AxiomReport("S1", "pass")
     for group in buckets.values():
-        if len(group) >= 2 and len(distinct := list(dict.fromkeys(group))) >= 2:
-            s1 = AxiomReport("S1", "fail", witness=(presheaf._section(distinct[0], U),
-                                                    presheaf._section(distinct[1], U)))
+        if len(group) >= 2:
+            s1 = AxiomReport("S1", "fail", witness=(presheaf._section(group[0], U),
+                                                    presheaf._section(group[1], U)))
             break
 
     # S2: every bucket is a compatible family, so all of them glue iff there
@@ -284,7 +281,7 @@ class _Step(NamedTuple):
     keys on V_l's checked overlaps, `keep` to its keys on the opens still
     live after V_l; `table` maps the restrictions of V_l's carrier keys to the
     checked overlaps onto the list of (key, restrictions to the opens that
-    enter the state at V_l), in carrier order with duplicate keys kept."""
+    enter the state at V_l), in carrier order."""
 
     look: Callable[[tuple], tuple]
     keep: Callable[[tuple], tuple]
@@ -330,38 +327,33 @@ def _overlap_plan(presheaf: Presheaf, cover: Sequence[OpenSet]) -> list[_Step]:
 
 
 def _count_families(plan: Sequence[_Step]) -> int:
-    """The number of distinct compatible families over the plan's cover,
-    without listing them: breadth first over the members, the number of
-    partial families per state.  Keys of one member that agree on the opens
-    entering the state there lead to the same next state, so each bucket is
-    reduced to its distinct keys, counted by their entering restrictions."""
+    """The number of compatible families over the plan's cover, without
+    listing them: breadth first over the members, the number of partial
+    families per state.  Keys of one member that agree on the opens entering
+    the state there lead to the same next state, so each bucket is counted
+    by its entering restrictions."""
     counts: dict[tuple, int] = {(): 1}
     for look, keep, table in plan:
-        fanout = {wanted: _fanout(bucket) for wanted, bucket in table.items()}
+        fanout: dict[tuple, dict[tuple, int]] = {}
+        for wanted, bucket in table.items():
+            keys = fanout[wanted] = {}
+            for _, enters in bucket:
+                keys[enters] = keys.get(enters, 0) + 1
         following: dict[tuple, int] = {}
         for state, n in counts.items():
             kept = keep(state)
-            for enters, m in fanout.get(look(state), ()):
+            for enters, m in fanout.get(look(state), {}).items():
                 after = kept + enters
                 following[after] = following.get(after, 0) + n * m
         counts = following
     return sum(counts.values())
 
 
-def _fanout(bucket: list[tuple[Any, tuple]]):
-    """A table bucket as (entering restrictions, number of distinct keys)."""
-    counts: dict[tuple, int] = {}
-    for enters in dict(bucket).values():
-        counts[enters] = counts.get(enters, 0) + 1
-    return counts.items()
-
-
 def _compatible_keys(plan: Sequence[_Step]):
     """Yield the member keys of every compatible family over the plan's
-    cover, in lexicographic carrier order, duplicate keys included: depth
-    first over the members, each extending a partial family only through the
-    table bucket its state selects (a hash join), so no candidate is tried
-    and rejected."""
+    cover, in lexicographic carrier order: depth first over the members,
+    each extending a partial family only through the table bucket its state
+    selects (a hash join), so no candidate is tried and rejected."""
     chosen: list = []
 
     def extend(l, state):

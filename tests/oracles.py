@@ -257,15 +257,11 @@ def wedge_shuffle(xi, eta) -> KForm:
 # -- sheaf axioms on section objects ----------------------------------------------
 
 
-def _restriction_key(presheaf, s, V):
-    return presheaf.key(presheaf.restrict(s, V))
-
-
 def compatible_families_sections(presheaf, cover):
     """Every compatible family over the cover, in lexicographic carrier order,
     by a hash join over the carriers as section objects: each member's
-    sections are bucketed by their keys on the nonempty overlaps with the
-    earlier members."""
+    sections are bucketed by their restrictions to the nonempty overlaps
+    with the earlier members."""
     cover = tuple(cover)
     earlier = [[(i, cover[i].intersection(V)) for i in range(j) if cover[i].mask & V.mask]
                for j, V in enumerate(cover)]
@@ -273,7 +269,7 @@ def compatible_families_sections(presheaf, cover):
     for V, overlaps in zip(cover, earlier):
         bucket: dict[tuple, list] = {}
         for s in presheaf.sections(V):
-            bucket.setdefault(tuple(_restriction_key(presheaf, s, o) for _, o in overlaps),
+            bucket.setdefault(tuple(presheaf.restrict(s, o) for _, o in overlaps),
                               []).append(s)
         index.append(bucket)
     chosen: list = []
@@ -282,7 +278,7 @@ def compatible_families_sections(presheaf, cover):
         if j == len(cover):
             yield CompatibleFamily(cover, tuple(chosen))
             return
-        wanted = tuple(_restriction_key(presheaf, chosen[i], o) for i, o in earlier[j])
+        wanted = tuple(presheaf.restrict(chosen[i], o) for i, o in earlier[j])
         for s in index[j].get(wanted, ()):
             chosen.append(s)
             yield from extend(j + 1)
@@ -293,7 +289,7 @@ def compatible_families_sections(presheaf, cover):
 
 def check_completeness_sections(presheaf, U, cover) -> CompletenessReport:
     """S1 and S2 decided on the carrier's section objects through the public
-    sections/restrict/key interface, with the same witnesses."""
+    sections/restrict interface, with the same witnesses."""
     cover = list(cover)
     require_open_cover(U, cover)
     carrier = presheaf.sections(U)
@@ -301,22 +297,22 @@ def check_completeness_sections(presheaf, U, cover) -> CompletenessReport:
     # S1: bucket carrier sections by their tuple of restrictions.
     buckets: dict[tuple, list] = {}
     for s in carrier:
-        k = tuple(_restriction_key(presheaf, s, V) for V in cover)
+        k = tuple(presheaf.restrict(s, V) for V in cover)
         buckets.setdefault(k, []).append(s)
     s1 = AxiomReport("S1", "pass")
     for group in buckets.values():
         distinct = []
         for s in group:
-            if all(presheaf.key(s) != presheaf.key(t) for t in distinct):
+            if all(s != t for t in distinct):
                 distinct.append(s)
         if len(distinct) >= 2:
             s1 = AxiomReport("S1", "fail", witness=(distinct[0], distinct[1]))
             break
 
-    # S2: a family glues iff its tuple of member keys is the restriction-key
-    # tuple of some carrier section, i.e. hits an S1 bucket.
+    # S2: a family glues iff it is the tuple of restrictions of some carrier
+    # section, i.e. hits an S1 bucket.
     unglued = next((f for f in compatible_families_sections(presheaf, cover)
-                    if tuple(presheaf.key(s) for s in f.sections) not in buckets), None)
+                    if f.sections not in buckets), None)
     s2 = (AxiomReport("S2", "fail", witness=unglued) if unglued is not None
           else AxiomReport("S2", "pass"))
     return CompletenessReport(s1, s2)

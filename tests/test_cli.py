@@ -48,6 +48,8 @@ CASES = [
     ("charpoly", "space_points_not_array", 2),
     ("charpoly", "space_points_missing", 2),
     ("charpoly", "space_open_member_not_string", 2),
+    ("charpoly", "matrix_missing", 2),
+    ("charpoly", "section_values_not_object", 2),
     ("eigen", "eigen_sections", 0),
     ("eigen", "rect", 1),
     ("eigen", "malformed", 2),
@@ -65,6 +67,7 @@ CASES = [
     ("sheaf-check", "function_duplicate_grid", 0),
     ("sheaf-check", "constant_duplicate_grid", 1),
     ("sheaf-check", "constant_empty_cover", 1),
+    ("sheaf-check", "cover_missing", 2),
     ("wedge", "wedge_basic", 0),
     ("wedge", "wedge_mismatch", 1),
     ("wedge", "malformed", 2),
@@ -253,3 +256,25 @@ def test_help_names_every_command(capsys):
 def test_space_fields_are_named(space, field):
     with pytest.raises(MalformedInput, match=rf"^{re.escape(field)}"):
         space_from_json(space)
+
+
+@pytest.mark.parametrize("command,case,field", [
+    ("darboux", "form_J", "space"), ("darboux", "form_J", "form"),
+    ("normal-form", "form_rank2", "form"), ("check-symplectic", "shear", "matrix"),
+    ("charpoly", "rot", "matrix"), ("eigen", "eigen_sections", "matrix"),
+    ("sheaf-check", "sheaf_functions", "cover"),
+    ("wedge", "wedge_basic", "xi"), ("wedge", "wedge_basic", "eta")])
+def test_missing_fields_are_named(tmp_path, command, case, field):
+    problem = json.loads((DATA / f"{case}.json").read_text())
+    del problem[field]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, out = run_argv([command, "--input", str(path), "--output", "json"])
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == f"MalformedInput: {field}: missing"
+
+
+@pytest.mark.parametrize("values", [3, [1, 2], "a", None])
+def test_section_values_must_be_an_object(values):
+    with pytest.raises(MalformedInput, match=rf"^matrix\[0\]\[0\]\.values: not an object: "):
+        matrix_from_json(point_space().whole, [[{"values": values}]])

@@ -119,7 +119,7 @@ def brute_force_families(presheaf, cover):
     carriers = [presheaf.sections(V) for V in cover]
     overlaps = [(i, j, cover[i].intersection(cover[j]))
                 for j in range(len(cover)) for i in range(j) if cover[i].mask & cover[j].mask]
-    keys = {(m, o): [presheaf.key(presheaf.restrict(s, o)) for s in carriers[m]]
+    keys = {(m, o): [presheaf.restrict(s, o) for s in carriers[m]]
             for i, j, o in overlaps for m in (i, j)}
     return [tuple(c[k] for c, k in zip(carriers, choice))
             for choice in product(*(range(len(c)) for c in carriers))
@@ -147,10 +147,8 @@ def test_compatible_families_match_brute_force_in_order(kind, grid):
                 expected = brute_force_families(presheaf, cover)
                 assert [f.sections for f in families] == expected, (sp, U, cover)
                 assert all(f.cover == tuple(cover) for f in families)
-                glued = {tuple(presheaf.key(presheaf.restrict(s, V)) for V in cover)
-                         for s in carrier}
-                unglued = [f for f in expected
-                           if tuple(presheaf.key(s) for s in f) not in glued]
+                glued = {tuple(presheaf.restrict(s, V) for V in cover) for s in carrier}
+                unglued = [f for f in expected if f not in glued]
                 witness = check_completeness(presheaf, U, cover).s2.witness
                 assert (witness and witness.sections) == next(iter(unglued), None), \
                     (sp, U, cover)
@@ -189,10 +187,13 @@ def test_key_path_matches_section_oracle(make, grid):
 
 
 def assert_count_matches_enumeration(presheaf, U, cover):
-    """The count is the number of distinct families the walk enumerates, and
-    every S1 bucket is one of them: carriers are closed under restriction."""
+    """The walk lists each family once, the count is the number it lists,
+    and every S1 bucket is one of them: carriers are closed under
+    restriction."""
     plan = _overlap_plan(presheaf, cover)
-    families = set(_compatible_keys(plan))
+    walk = list(_compatible_keys(plan))
+    families = set(walk)
+    assert len(walk) == len(families), (U, cover)
     assert _count_families(plan) == len(families), (U, cover)
     restrictors = [presheaf._restrictor(U, V) for V in cover]
     assert {tuple(r(k) for r in restrictors) for k in presheaf._keys(U)} <= families, (U, cover)
@@ -212,22 +213,27 @@ def test_family_count_matches_enumeration_on_three_points(make, grid):
                          ids=["functions", "constant"])
 def test_family_count_matches_enumeration_on_four_points(make):
     # covered by every nonempty open inside it, a member meets many earlier
-    # members but checks only the maximal overlaps among them
-    for sp in enumerate_topologies(["a", "b", "c", "d"]):
-        presheaf = make(sp, (F(0), F(1)))
-        for U in sp.all_opens():
-            assert_count_matches_enumeration(
-                presheaf, U, [V for V in sp.all_opens() if V.mask and V.is_subset(U)])
+    # members but checks only the maximal overlaps among them; a grid that
+    # repeats a value gives the carriers and families of its distinct values
+    for grid in [(F(0), F(1)), (F(0), F(1), F(0))]:
+        for sp in enumerate_topologies(["a", "b", "c", "d"]):
+            presheaf = make(sp, grid)
+            for U in sp.all_opens():
+                assert_count_matches_enumeration(
+                    presheaf, U, [V for V in sp.all_opens() if V.mask and V.is_subset(U)])
 
 
 def test_repeated_grid_value_families_are_counted_once():
-    # 0 twice on the 3-point chain: the walk yields every choice of carrier
-    # key, duplicates included, and the count the distinct families
+    # 0 twice on the 3-point chain: the grid keeps 0 once, so the walk and
+    # the count both give the 2**3 families of the grid (0, 1)
     points = ["p0", "p1", "p2"]
     sp = validate_topology(points, [points[k:] for k in range(4)])
-    plan = _overlap_plan(FunctionPresheaf(sp, (F(0), F(1), F(0))), minimal_cover(sp.whole))
+    presheaf = FunctionPresheaf(sp, (F(0), F(1), F(0)))
+    assert presheaf.grid == (F(0), F(1))
+    plan = _overlap_plan(presheaf, minimal_cover(sp.whole))
     families = list(_compatible_keys(plan))
-    assert (len(families), len(set(families)), _count_families(plan)) == (135, 8, 8)
+    assert (len(families), len(set(families)), _count_families(plan)) == (8, 8, 8)
+    assert len(sheafify_sections(presheaf, sp.whole)) == len(presheaf.sections(sp.whole)) == 8
 
 
 class Walked(Exception):
@@ -302,8 +308,7 @@ def test_sheafify_bijection_for_complete_presheaf():
         # each family glues to exactly one carrier section
         for fam in families:
             matches = [s for s in carrier
-                       if all(presheaf.key(s.restrict(V)) == presheaf.key(part)
-                              for V, part in zip(fam.cover, fam.sections))]
+                       if all(s.restrict(V) == part for V, part in zip(fam.cover, fam.sections))]
             assert len(matches) == 1
 
 
