@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import jsonio
 from .charpoly import cayley_hamilton_check, char_poly, eigen_sections
@@ -219,7 +220,9 @@ def _emit(report: dict, mode: str, stream) -> None:
                 stream.write(_render_value(report[key], 1) + "\n")
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one command-line parser, built on the first call and kept."""
     parser = argparse.ArgumentParser(
         prog="sympsheaf",
         description="Exact symplectic algebra over sheaves on finite spaces.")
@@ -228,7 +231,11 @@ def main(argv=None) -> int:
     parser.add_argument("--output", choices=("json", "text"), default="text")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized self-checks (sampled grids)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     error = certificate = result = None
     try:
         problem, U = _load_problem(args.input)

@@ -5,6 +5,10 @@ sections as {"open": [...], "values": {point: rational}}; matrices as
 arrays of arrays whose entries are bare rationals (constant sections) or
 section objects; k-forms with 1-based strictly increasing multi-indices.
 Input that breaks these rules raises MalformedInput naming the field.
+
+Since A(U) = ∏_{x∈U} ℚ, every entry is read into, and written from, its
+tuple of values at the points of U: matrices, vectors and forms go to and
+from their `stalks` directly, with no section object per entry.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from .site import FiniteSpace, OpenSet, validate_topology
 
 
 def fraction_to_json(q: Fraction) -> Any:
-    q = Fraction(q)
-    return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def fraction_from_json(obj: Any, field: str) -> Fraction:
@@ -83,7 +86,9 @@ def section_to_json(s: StructureSection) -> dict:
             "values": {p: fraction_to_json(v) for p, v in zip(s.domain.labels, s.stalks)}}
 
 
-def section_from_json(domain: OpenSet, obj: Any, field: str) -> StructureSection:
+def _values_from_json(domain: OpenSet, obj: Any, field: str) -> tuple[Fraction, ...]:
+    """The values at domain.labels of an entry: a bare rational is constant,
+    a section object must be declared over domain and name each of its points."""
     if isinstance(obj, dict) and "values" in obj:
         declared = open_from_json(domain.space, obj["open"], f"{field}.open") \
             if "open" in obj else domain
@@ -97,22 +102,35 @@ def section_from_json(domain: OpenSet, obj: Any, field: str) -> StructureSection
         if odd:
             where = "not in" if odd[0] in values else "missing from"
             raise MalformedInput(f"{field}.values.{odd[0]}: point {odd[0]!r} is {where} {domain}")
-        return StructureSection(domain, [fraction_from_json(values[p], f"{field}.values.{p}")
-                                         for p in domain.labels])
-    return StructureSection.constant(domain, fraction_from_json(obj, field))
+        return tuple(fraction_from_json(values[p], f"{field}.values.{p}") for p in domain.labels)
+    return (fraction_from_json(obj, field),) * domain.size
+
+
+def section_from_json(domain: OpenSet, obj: Any, field: str) -> StructureSection:
+    return StructureSection.from_stalks(domain, _values_from_json(domain, obj, field))
+
+
+def _entry(labels: Sequence[str], values: Sequence[Fraction]) -> Any:
+    """An entry with these values at the points labels: a bare rational when
+    they are all equal, 0 on U = ∅, a section object otherwise.  A Fraction is
+    in lowest terms, so equal values encode to equal ints or "p/q" strings."""
+    encoded = [fraction_to_json(v) for v in values]
+    if not encoded:
+        return 0
+    if encoded.count(encoded[0]) == len(encoded):
+        return encoded[0]
+    return {"open": list(labels), "values": dict(zip(labels, encoded))}
 
 
 def entry_to_json(s: StructureSection) -> Any:
     """Bare rational for constant sections, full section object otherwise."""
-    if s.domain.size and all(v == s.stalks[0] for v in s.stalks):
-        return fraction_to_json(s.stalks[0])
-    if s.domain.size == 0:
-        return 0
-    return section_to_json(s)
+    return _entry(s.domain.labels, s.stalks)
 
 
 def matrix_to_json(m: SectionMatrix) -> list:
-    return [[entry_to_json(e) for e in row] for row in m.entries]
+    labels, stalks = m.domain.labels, m.stalks
+    return [[_entry(labels, [s[i][j] for s in stalks]) for j in range(m.cols)]
+            for i in range(m.rows)]
 
 
 def matrix_from_json(domain: OpenSet, obj: Any, field: str = "matrix") -> SectionMatrix:
@@ -123,22 +141,29 @@ def matrix_from_json(domain: OpenSet, obj: Any, field: str = "matrix") -> Sectio
             raise MalformedInput(f"{field}[{i}]: not an array: {row!r}")
         if len(row) != len(obj[0]):
             raise MalformedInput(f"{field}[{i}]: {len(row)} entries where row 0 has {len(obj[0])}")
-    return SectionMatrix(domain, [[section_from_json(domain, e, f"{field}[{i}][{j}]")
-                                   for j, e in enumerate(row)] for i, row in enumerate(obj)])
+    grid = [[_values_from_json(domain, e, f"{field}[{i}][{j}]") for j, e in enumerate(row)]
+            for i, row in enumerate(obj)]
+    return SectionMatrix.from_stalks(
+        domain, len(grid), len(grid[0]) if grid else 0,
+        ([[e[k] for e in row] for row in grid] for k in range(domain.size)))
 
 
 def vector_to_json(v: SectionVector) -> list:
-    return [entry_to_json(e) for e in v.entries]
+    labels, stalks = v.domain.labels, v.stalks
+    return [_entry(labels, [s[i] for s in stalks]) for i in range(v.length)]
 
 
 def vector_from_json(domain: OpenSet, obj: Sequence) -> SectionVector:
-    return SectionVector(domain, [section_from_json(domain, e, f"vector[{i}]")
-                                  for i, e in enumerate(obj)])
+    entries = [_values_from_json(domain, e, f"vector[{i}]") for i, e in enumerate(obj)]
+    return SectionVector.from_stalks(domain, len(entries),
+                                     ([e[k] for e in entries] for k in range(domain.size)))
 
 
 def kform_to_json(f: KForm) -> dict:
-    coeffs = {"[" + ",".join(str(i + 1) for i in idx) + "]": entry_to_json(c)
-              for idx, c in f.coeffs.items()}  # in index order
+    labels, maps = f.domain.labels, [dict(s) for s in f.stalks]
+    coeffs = {"[" + ",".join(str(i + 1) for i in idx) + "]":
+              _entry(labels, [m.get(idx, 0) for m in maps])
+              for idx in sorted(set().union(*maps))}  # in index order
     return {"degree": f.degree, "rank": f.rank, "coeffs": coeffs}
 
 
@@ -174,10 +199,12 @@ def kform_from_json(domain: OpenSet, obj: Any, field: str) -> KForm:
     coeffs = obj.get("coeffs", {})
     if not isinstance(coeffs, dict):
         raise MalformedInput(f"{field}.coeffs: not an object: {coeffs!r}")
-    return KForm(domain, rank, degree, {
-        _multi_index_from_json(k, degree, rank, f"{field}.coeffs.{k}"):
-            section_from_json(domain, v, f"{field}.coeffs.{k}") for k, v in coeffs.items()})
+    values = {_multi_index_from_json(k, degree, rank, f"{field}.coeffs.{k}"):
+              _values_from_json(domain, v, f"{field}.coeffs.{k}") for k, v in coeffs.items()}
+    # from_stalks runs no _check_index: _multi_index_from_json has checked every key
+    return KForm.from_stalks(domain, rank, degree,
+                             ({idx: c[k] for idx, c in values.items()} for k in range(domain.size)))
 
 
 def polynomial_to_json(p: Polynomial) -> list:
-    return [entry_to_json(c) for c in p.coeffs]
+    return vector_to_json(p)

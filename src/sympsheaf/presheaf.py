@@ -66,8 +66,11 @@ def sample_grid(seed: int, size: int = 2) -> tuple[Fraction, ...]:
     for q in picked:
         if q not in out:
             out.append(q)
+    filler = len(out) + seed + 1
     while len(out) < size:  # seed collisions; keep the grid at the requested size
-        out.append(Fraction(len(out) + seed + 1))
+        if filler not in out:  # step past the values already picked
+            out.append(Fraction(filler))
+        filler += 1
     return tuple(out)
 
 

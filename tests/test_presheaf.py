@@ -34,7 +34,7 @@ from sympsheaf.errors import (
 )
 from sympsheaf import presheaf as presheaf_module
 from sympsheaf.presheaf import (_compatible_families, _compatible_keys, _count_families,
-                                _overlap_plan)
+                                _overlap_plan, sample_grid)
 
 from oracles import check_completeness_sections
 
@@ -449,3 +449,23 @@ def test_germ_carrier_is_built_once_per_open(monkeypatch):
     assert glued  # some carrier was glued from several germs
     check_completeness(presheaf, sp.whole, minimal_cover(sp.whole))
     assert len(glued) == calls
+
+
+def test_sample_grid_has_the_requested_number_of_distinct_values():
+    """The filler steps past values already picked: (-5, 7) once repeated 2."""
+    for seed in range(-20, 20):
+        for size in range(1, 9):
+            assert len(set(sample_grid(seed, size))) == size, (seed, size)
+    assert sample_grid(-5, 7)[-1] == 3
+
+
+@pytest.mark.parametrize("seed, size, grid", [
+    (0, 6, ("0", "1", "-1/2", "2", "-3", "1/3")),
+    (-5, 6, ("1", "-1/2", "2", "-3", "1/3", "0")),
+    (4, 5, ("-3", "1/3", "0", "1", "-1/2")),
+    (7, 4, ("1", "-1/2", "2", "-3")),
+    (-13, 3, ("1/3", "0", "1")),
+    (1, 2, ("1", "-1/2")),
+])
+def test_sample_grid_without_collisions_is_unchanged(seed, size, grid):
+    assert sample_grid(seed, size) == tuple(map(F, grid))
