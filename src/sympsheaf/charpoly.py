@@ -75,7 +75,7 @@ def char_poly(M: SectionMatrix) -> Polynomial:
         raise NotSquare(f"{M.rows}x{M.cols} matrix has no characteristic polynomial")
     n = M.rows
     if n > CHARPOLY_SIZE_CAP:
-        raise DegreeTooLarge(f"characteristic polynomial capped at size {CHARPOLY_SIZE_CAP}")
+        raise DegreeTooLarge(f"a {n}x{n} matrix exceeds CHARPOLY_SIZE_CAP = {CHARPOLY_SIZE_CAP}")
     return Polynomial.from_stalks(M.domain, n + 1, map(qq_charpoly, M.stalks))
 
 

@@ -166,7 +166,8 @@ def alternation(t: CovariantTensor) -> CovariantTensor:
     """The anti-symmetrizer projection onto alternating tensors."""
     k = t.order
     if k > ALTERNATION_ORDER_CAP:
-        raise DegreeTooLarge(f"alternation of order {k} exceeds the factorial guard")
+        raise DegreeTooLarge(
+            f"alternation of order {k} exceeds ALTERNATION_ORDER_CAP = {ALTERNATION_ORDER_CAP}")
     if k <= 1:
         return t
     weights = [(sigma, Fraction(perm_sign(sigma), factorial(k)))

@@ -1,10 +1,15 @@
-"""JSON encoding/decoding for the data the CLI and tests exchange.
+"""JSON encoding/decoding for the data the CLI and tests exchange: the one
+owner of the problem file format.
 
 Rationals serialize as integers when integral and "p/q" strings otherwise;
 sections as {"open": [...], "values": {point: rational}}; matrices as
 arrays of arrays whose entries are bare rationals (constant sections) or
 section objects; k-forms with 1-based strictly increasing multi-indices.
-Input that breaks these rules raises MalformedInput naming the field.
+problem_from_json reads a problem file and checks every field its command
+uses before any algebra runs: input that breaks these rules raises
+MalformedInput naming the field.  witness_to_json encodes report witnesses.
+Input stays within Python's int→str digit limit, exponents included, and
+within the nesting that its recursion limit lets the JSON decoder follow.
 
 Since A(U) = ∏_{x∈U} ℚ, every entry is read into, and written from, its
 tuple of values at the points of U: matrices, vectors and forms go to and
@@ -13,15 +18,33 @@ from their `stalks` directly, with no section object per entry.
 
 from __future__ import annotations
 
+import json
+import re
+import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .charpoly import Polynomial
 from .errors import MalformedInput, NotAnOpen, TopologyError, UnknownPoint
 from .exterior import KForm
 from .modules import SectionMatrix, SectionVector
+from .presheaf import CompatibleFamily, ConstantPresheaf, FunctionPresheaf
 from .sections import StructureSection
 from .site import FiniteSpace, OpenSet, validate_topology
+
+_MISSING = object()  # what a reader is given for an absent key
+_NOT = {list: "not an array", dict: "not an object"}
+_PRESHEAVES = {"functions": FunctionPresheaf, "constant": ConstantPresheaf}
+
+
+def _checked(value: Any, field: str, kind: type = object) -> Any:
+    """value, the JSON found at field: MalformedInput naming field when it is
+    _MISSING or, for kind list or dict, not a JSON array or object."""
+    if value is _MISSING:
+        raise MalformedInput(f"{field}: missing")
+    if not isinstance(value, kind):
+        raise MalformedInput(f"{field}: {_NOT[kind]}: {value!r}")
+    return value
 
 
 def fraction_to_json(q: Fraction) -> Any:
@@ -32,13 +55,32 @@ def fraction_from_json(obj: Any, field: str) -> Fraction:
     if type(obj) is int:  # bool is an int subclass
         return Fraction(obj)
     if isinstance(obj, str):
+        if ("e" in obj or "E" in obj) and _exponent_past_digit_limit(obj):
+            raise _past_digit_limit(field)
         try:
             return Fraction(obj)
         except ZeroDivisionError:
             raise MalformedInput(f"{field}: zero denominator: {obj!r}") from None
-        except ValueError:
-            pass
+        except ValueError:  # a malformed string, or a run of digits past the limit
+            limit = sys.get_int_max_str_digits()
+            if limit and re.search(rf"\d{{{limit + 1}}}", obj.replace("_", "")):
+                raise _past_digit_limit(field) from None
     raise MalformedInput(f"{field}: not a rational: {obj!r}")
+
+
+def _exponent_past_digit_limit(text: str) -> bool:
+    """Whether text ends in an exponent above the digit limit: Fraction would
+    expand "1e100000000" to an integer of 100,000,001 digits, for minutes."""
+    limit = sys.get_int_max_str_digits()
+    exponent = re.search(r"[\d.][eE][-+]?([\d_]+)\s*$", text)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    return bool(limit) and (len(digits) > len(str(limit)) or int(digits or 0) > limit)
+
+
+def _past_digit_limit(field: str) -> MalformedInput:
+    limit = sys.get_int_max_str_digits()
+    return MalformedInput(f"{field}: a number of more than {limit} digits, "
+                          "past the input digit limit")
 
 
 def space_to_json(space: FiniteSpace) -> dict:
@@ -47,23 +89,16 @@ def space_to_json(space: FiniteSpace) -> dict:
 
 
 def space_from_json(obj: Any) -> FiniteSpace:
-    if not isinstance(obj, dict):
-        raise MalformedInput(f"space: not an object: {obj!r}")
-    for key in ("points", "opens"):
-        if key not in obj:
-            raise MalformedInput(f"space.{key}: missing")
-        if not isinstance(obj[key], list):
-            raise MalformedInput(f"space.{key}: not an array: {obj[key]!r}")
-    points, opens = obj["points"], obj["opens"]
+    _checked(obj, "space", dict)
+    points, opens = (_checked(obj.get(key, _MISSING), f"space.{key}", list)
+                     for key in ("points", "opens"))
     for i, p in enumerate(points):
         if not isinstance(p, str):
             raise MalformedInput(f"space.points[{i}]: not a string: {p!r}")
         if p in points[:i]:
             raise MalformedInput(f"space.points[{i}]: duplicate point label {p!r}")
     for i, labels in enumerate(opens):
-        if not isinstance(labels, list):
-            raise MalformedInput(f"space.opens[{i}]: not an array: {labels!r}")
-        for j, p in enumerate(labels):
+        for j, p in enumerate(_checked(labels, f"space.opens[{i}]", list)):
             if not isinstance(p, str):
                 raise MalformedInput(f"space.opens[{i}][{j}]: not a string: {p!r}")
     try:
@@ -95,9 +130,7 @@ def _values_from_json(domain: OpenSet, obj: Any, field: str) -> tuple[Fraction, 
         if declared != domain:
             raise MalformedInput(
                 f"{field}.open: section declared over {declared}, expected {domain}")
-        values = obj["values"]
-        if not isinstance(values, dict):
-            raise MalformedInput(f"{field}.values: not an object: {values!r}")
+        values = _checked(obj["values"], f"{field}.values", dict)
         odd = sorted(set(values) ^ set(domain.labels), key=lambda p: (p not in values, p))
         if odd:
             where = "not in" if odd[0] in values else "missing from"
@@ -134,12 +167,10 @@ def matrix_to_json(m: SectionMatrix) -> list:
 
 
 def matrix_from_json(domain: OpenSet, obj: Any, field: str = "matrix") -> SectionMatrix:
-    if not isinstance(obj, list):
+    if not isinstance(_checked(obj, field), list):
         raise MalformedInput(f"{field}: not an array of arrays: {obj!r}")
     for i, row in enumerate(obj):
-        if not isinstance(row, list):
-            raise MalformedInput(f"{field}[{i}]: not an array: {row!r}")
-        if len(row) != len(obj[0]):
+        if len(_checked(row, f"{field}[{i}]", list)) != len(obj[0]):
             raise MalformedInput(f"{field}[{i}]: {len(row)} entries where row 0 has {len(obj[0])}")
     grid = [[_values_from_json(domain, e, f"{field}[{i}][{j}]") for j, e in enumerate(row)]
             for i, row in enumerate(obj)]
@@ -181,9 +212,7 @@ def _multi_index_from_json(key: str, degree: int, rank: int, field: str) -> tupl
 
 def _size_from_json(obj: dict, key: str, field: str) -> int:
     """The nonnegative integer obj[key]: the degree or the rank of a form."""
-    if key not in obj:
-        raise MalformedInput(f"{field}: missing")
-    value = obj[key]
+    value = _checked(obj.get(key, _MISSING), field)
     if type(value) is not int:  # bool is an int subclass, and int() truncates floats
         raise MalformedInput(f"{field}: not an integer: {value!r}")
     if value < 0:
@@ -192,13 +221,10 @@ def _size_from_json(obj: dict, key: str, field: str) -> int:
 
 
 def kform_from_json(domain: OpenSet, obj: Any, field: str) -> KForm:
-    if not isinstance(obj, dict):
-        raise MalformedInput(f"{field}: not an object: {obj!r}")
+    _checked(obj, field, dict)
     degree = _size_from_json(obj, "degree", f"{field}.degree")
     rank = _size_from_json(obj, "rank", f"{field}.rank")
-    coeffs = obj.get("coeffs", {})
-    if not isinstance(coeffs, dict):
-        raise MalformedInput(f"{field}.coeffs: not an object: {coeffs!r}")
+    coeffs = _checked(obj.get("coeffs", {}), f"{field}.coeffs", dict)
     values = {_multi_index_from_json(k, degree, rank, f"{field}.coeffs.{k}"):
               _values_from_json(domain, v, f"{field}.coeffs.{k}") for k, v in coeffs.items()}
     # from_stalks runs no _check_index: _multi_index_from_json has checked every key
@@ -208,3 +234,84 @@ def kform_from_json(domain: OpenSet, obj: Any, field: str) -> KForm:
 
 def polynomial_to_json(p: Polynomial) -> list:
     return vector_to_json(p)
+
+
+def problem_from_json(text: str, command: str) -> tuple[OpenSet, dict[str, Any]]:
+    """The open set U that a problem file's text poses command over, and the
+    inputs command reads from it, by field name, every one of them checked."""
+    try:
+        problem = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the only other: an integer literal past the digit limit
+        raise _past_digit_limit("problem") from None
+    except RecursionError:
+        raise MalformedInput(f"problem: nested deeper than the recursion limit "
+                             f"({sys.getrecursionlimit()}) allows") from None
+    if not isinstance(problem, dict):
+        raise MalformedInput("problem: not a JSON object")
+    space = space_from_json(problem.get("space", _MISSING))
+    labels = problem.get("open")
+    U = space.whole if labels is None else open_from_json(space, labels, "open")
+    inputs = {key: read(U, problem.get(key, _MISSING), key)
+              for key, read in _INPUTS[command].items()}
+    # a reference form, as check-symplectic takes, is square of the matrix's size
+    M, omega = inputs.get("matrix"), inputs.get("form")
+    if M is not None and omega is not None and (omega.rows != M.rows or omega.cols != M.rows):
+        raise MalformedInput(f"form: {omega.rows}x{omega.cols} where the matrix "
+                             f"has {M.rows} rows; the form must be {M.rows}x{M.rows}")
+    return U, inputs
+
+
+def _optional(read: Callable) -> Callable:
+    """read, giving None for an absent field."""
+    return lambda U, obj, field: None if obj is _MISSING else read(U, obj, field)
+
+
+def _array_of(read: Callable) -> Callable:
+    """The reader of an array whose i-th element read reads at field[i]."""
+    return lambda U, obj, field: [read(U, x, f"{field}[{i}]")
+                                  for i, x in enumerate(_checked(obj, field, list))]
+
+
+def _presheaf_from_json(U: OpenSet, obj: Any, field: str) -> type:
+    """The presheaf class that a kind names, "functions" when none is given."""
+    kind = "functions" if obj is _MISSING else obj
+    if not isinstance(kind, str) or kind not in _PRESHEAVES:
+        raise MalformedInput(f"{field}: unknown presheaf kind {kind!r}")
+    return _PRESHEAVES[kind]
+
+
+# command -> the fields it reads, each with its reader, in the order they are checked
+_INPUTS: dict[str, dict[str, Callable[[OpenSet, Any, str], Any]]] = {
+    "darboux": {"form": matrix_from_json},
+    "normal-form": {"form": matrix_from_json},
+    "check-symplectic": {"matrix": matrix_from_json, "form": _optional(matrix_from_json)},
+    "charpoly": {"matrix": matrix_from_json},
+    "eigen": {"matrix": matrix_from_json},
+    "sheaf-check": {
+        "grid": _optional(_array_of(lambda U, x, field: fraction_from_json(x, field))),
+        "presheaf": _presheaf_from_json,
+        "cover": _array_of(lambda U, x, field: open_from_json(U.space, x, field))},
+    "wedge": {"xi": kform_from_json, "eta": kform_from_json},
+}
+
+
+def witness_to_json(witness: Any) -> Any:
+    """An error's or a failed axiom's witness: a compatible family as
+    {"family": [{"open", "section"}, …]}, rationals and sections as above,
+    containers entry by entry and anything else by its repr."""
+    if isinstance(witness, CompatibleFamily):
+        return {"family": [{"open": list(V.labels), "section": witness_to_json(s)}
+                           for V, s in zip(witness.cover, witness.sections)]}
+    if isinstance(witness, (list, tuple)):
+        return [witness_to_json(v) for v in witness]
+    if isinstance(witness, dict):
+        return {str(k): witness_to_json(v) for k, v in witness.items()}
+    if isinstance(witness, Fraction):
+        return fraction_to_json(witness)
+    if isinstance(witness, StructureSection):
+        return section_to_json(witness)
+    if isinstance(witness, (str, int, bool)) or witness is None:
+        return witness
+    return repr(witness)

@@ -27,6 +27,13 @@ Entry = Union[Scalar, StructureSection]
 ZERO, ONE = Fraction(0), Fraction(1)
 
 
+def _mat_vec(a: qlinalg.QMatrix, v: Sequence[Fraction]) -> list[Fraction]:
+    """a·v for a stalk a with len(v) columns, on the integer product kernel."""
+    if not v:  # a has no columns
+        return [ZERO] * len(a)
+    return [x for (x,) in qlinalg.mat_mul(a, list(zip(v)))]
+
+
 class SectionVector(_Stalkwise):
     """An element of A(U)^n, stored as one ℚ vector per point of U."""
 
@@ -82,7 +89,8 @@ class SectionVector(_Stalkwise):
     def pairing(self, other: "SectionVector") -> StructureSection:
         """Coordinate pairing ⟨u, v⟩ = Σ u_i v_i."""
         self._check(other)
-        return StructureSection(self.domain, list(map(qlinalg.dot, self.stalks, other.stalks)))
+        return StructureSection(self.domain, [_mat_vec([u], v)[0]
+                                              for u, v in zip(self.stalks, other.stalks)])
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.entries)})"
@@ -180,7 +188,7 @@ class SectionMatrix(_Stalkwise):
         if isinstance(other, SectionVector):
             return SectionVector.from_stalks(
                 self.domain, self.rows,
-                ([qlinalg.dot(r, v) for r in a] for a, v in zip(self.stalks, other.stalks)))
+                map(_mat_vec, self.stalks, other.stalks))
         if not self.cols:  # a stalk with no rows does not know its width
             return SectionMatrix.zeros(self.domain, self.rows, other.cols)
         return SectionMatrix.from_stalks(self.domain, self.rows, other.cols,

@@ -127,7 +127,8 @@ class FunctionPresheaf(Presheaf):
     def _keys(self, U: OpenSet) -> Iterator[tuple[int, ...]]:
         count = len(self.grid) ** U.size
         if count > CARRIER_CAP:
-            raise NonEnumerableSections(f"{count} sections over {U} exceed the enumeration cap")
+            raise NonEnumerableSections(
+                f"{count} sections over {U} exceed CARRIER_CAP = {CARRIER_CAP}")
         return product(range(len(self.grid)), repeat=U.size)
 
     def _restrictor(self, U: OpenSet, V: OpenSet) -> Callable:
@@ -264,8 +265,8 @@ def check_completeness(presheaf: Presheaf, U: OpenSet,
     s1 = AxiomReport("S1", "pass")
     for group in buckets.values():
         if len(group) >= 2:
-            s1 = AxiomReport("S1", "fail", witness=(presheaf._section(group[0], U),
-                                                    presheaf._section(group[1], U)))
+            s1 = AxiomReport("S1", "fail", witness={"left": presheaf._section(group[0], U),
+                                                    "right": presheaf._section(group[1], U)})
             break
 
     # S2: every bucket is a compatible family, so all of them glue iff there

@@ -32,10 +32,6 @@ def scaled(m: QMatrix) -> tuple[int, list[list[int]]]:
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
 
 
-def dot(u, v) -> Fraction:
-    return sum(map(mul, u, v), Fraction(0))
-
-
 def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     """a·b as (Da·a)(Db·b)/(Da·Db): an integer product, one Fraction per entry."""
     (da, ia), (db, ib) = scaled(a), scaled(b)

@@ -306,7 +306,7 @@ def check_completeness_sections(presheaf, U, cover) -> CompletenessReport:
             if all(s != t for t in distinct):
                 distinct.append(s)
         if len(distinct) >= 2:
-            s1 = AxiomReport("S1", "fail", witness=(distinct[0], distinct[1]))
+            s1 = AxiomReport("S1", "fail", witness={"left": distinct[0], "right": distinct[1]})
             break
 
     # S2: a family glues iff it is the tuple of restrictions of some carrier

@@ -132,7 +132,7 @@ def test_charpoly_on_empty_open_keeps_degree():
 def test_charpoly_guards():
     with pytest.raises(NotSquare):
         char_poly(SectionMatrix.zeros(PT, 2, 3))
-    with pytest.raises(DegreeTooLarge):
+    with pytest.raises(DegreeTooLarge, match=r"^a 9x9 matrix exceeds CHARPOLY_SIZE_CAP = 8$"):
         char_poly(SectionMatrix.identity(PT, 9))
 
 

@@ -1,16 +1,19 @@
 """CLI contract: golden-file byte comparison, exit codes, certificates."""
 
+import inspect
 import io
 import json
 import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from sympsheaf import KForm, is_symplectic_map, point_space, standard_J
+from sympsheaf import jsonio
 from sympsheaf.cli import _HANDLERS, main
 from sympsheaf.errors import MalformedInput
 from sympsheaf.jsonio import kform_from_json, matrix_from_json, space_from_json
@@ -166,6 +169,17 @@ def test_sheaf_check_grid_entries_must_be_rationals(tmp_path, bad):
     assert json.loads(buf.getvalue())["error"]["message"].startswith("MalformedInput: grid[1]: ")
 
 
+@pytest.mark.parametrize("kind", [[], {}, None, 1])  # "bogus" is the golden case
+def test_sheaf_check_presheaf_kind_must_be_named(tmp_path, kind):
+    problem = json.loads((DATA / "constant_presheaf.json").read_text())
+    problem["presheaf"] = kind
+    code, out = run_argv(["sheaf-check", "--input", write_problem(tmp_path, json.dumps(problem)),
+                          "--output", "json"])
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == \
+        f"MalformedInput: presheaf: unknown presheaf kind {kind!r}"
+
+
 def test_darboux_certificate_reverifies():
     # pipe the emitted change of basis back through the symplectic check
     code, out = run_cli("darboux", "form_J")
@@ -234,6 +248,13 @@ def test_options_may_come_before_the_command():
     assert options_first == run_cli("charpoly", "rot")
 
 
+def test_each_handler_takes_the_fields_its_command_reads():
+    # jsonio reads a command's fields, in this order, and main passes them by name
+    for command, handler in _HANDLERS.items():
+        fields = list(inspect.signature(handler).parameters)[2:]
+        assert fields == list(jsonio._INPUTS[command]), command
+
+
 def test_help_names_every_command(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--help"])
@@ -272,6 +293,59 @@ def test_missing_fields_are_named(tmp_path, command, case, field):
     code, out = run_argv([command, "--input", str(path), "--output", "json"])
     assert code == 2
     assert json.loads(out)["error"]["message"] == f"MalformedInput: {field}: missing"
+
+
+def write_problem(tmp_path, text):
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    return str(path)
+
+
+ONE_POINT = '{"space": {"points": ["x"], "opens": [[], ["x"]]}, '
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_reports_write_integers_past_the_digit_limit(tmp_path, output):
+    # det diag(a, a) for a = 10^2200 − 1 has 4,400 digits, past Python's default
+    # int→str limit of 4,300: the report gives it exactly, and main restores the limit
+    a = "9" * 2200
+    det = "9" * 2199 + "8" + "0" * 2199 + "1"  # a² = 10^4400 − 2·10^2200 + 1
+    path = write_problem(tmp_path, ONE_POINT + f'"matrix": [[{a}, 0], [0, {a}]]}}')
+    limit = sys.get_int_max_str_digits()
+    code, out = run_argv(["check-symplectic", "--input", path, "--output", output])
+    assert code == 1 and sys.get_int_max_str_digits() == limit
+    assert (f'"det": {det}\n' if output == "json" else f"\n  det: {det}\n") in out
+
+
+@pytest.mark.parametrize("entry,field", [('"1/{}"', "matrix[0][0]"), ("{}", "problem"),
+                                         ('"1e100000000"', "matrix[0][0]"),
+                                         ('"-2.5E-1_000_000"', "matrix[0][0]")],
+                         ids=["rational-string", "integer-literal", "exponent", "negative-exponent"])
+def test_input_past_the_digit_limit_is_named(tmp_path, entry, field):
+    limit = sys.get_int_max_str_digits()
+    path = write_problem(tmp_path, ONE_POINT + f'"matrix": [[{entry.format("7" * (limit + 1))}]]}}')
+    code, out = run_argv(["charpoly", "--input", path, "--output", "json"])
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == \
+        f"MalformedInput: {field}: a number of more than {limit} digits, past the input digit limit"
+
+
+def test_exponents_within_the_digit_limit_are_read():
+    limit = sys.get_int_max_str_digits()
+    assert jsonio.fraction_from_json("1e3", "x") == 1000
+    assert jsonio.fraction_from_json(" -2.5E-2 ", "x") == F(-1, 40)
+    assert jsonio.fraction_from_json(f"1e{limit}", "x") == 10 ** limit
+    with pytest.raises(MalformedInput, match=r"^x: not a rational: 'e5'$"):
+        jsonio.fraction_from_json("e5", "x")
+
+
+def test_deeply_nested_input_is_malformed(tmp_path):
+    depth = 100_000
+    path = write_problem(tmp_path, ONE_POINT + '"matrix": ' + "[" * depth + "]" * depth + "}")
+    code, out = run_argv(["charpoly", "--input", path, "--output", "json"])
+    assert code == 2
+    assert json.loads(out)["error"]["message"].startswith(
+        "MalformedInput: problem: nested deeper than the recursion limit")
 
 
 @pytest.mark.parametrize("values", [3, [1, 2], "a", None])

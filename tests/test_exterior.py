@@ -100,7 +100,7 @@ def test_alternation_output_antisymmetric_in_arguments():
 
 
 def test_alternation_factorial_guard():
-    with pytest.raises(DegreeTooLarge):
+    with pytest.raises(DegreeTooLarge, match=r"exceeds ALTERNATION_ORDER_CAP = 8$"):
         alternation(CovariantTensor(PT, 2, 9, {(0,) * 9: 1}))
 
 

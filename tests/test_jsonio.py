@@ -191,7 +191,8 @@ def problem_file(tmp_path_factory):
 @given(mutants())
 def test_mutated_inputs_get_a_report(problem_file, mutant):
     """Every mutant of a test input ends in a report with exit code 0, 1 or 2,
-    never in a traceback, and exit code 2 means MalformedInput."""
+    never in a traceback, and exit code 2 means MalformedInput: a rejection
+    by the loader or by the JSON decoder, not an exception from elsewhere."""
     command, doc = mutant
     problem_file.write_text(json.dumps(doc), encoding="utf-8")
     for output in ("json", "text"):
@@ -208,5 +209,7 @@ def test_mutated_inputs_get_a_report(problem_file, mutant):
             assert (code == 2) == (status == "MalformedInput")
             if code == 2:
                 assert report["error"]["name"] == "MalformedInput"
+                assert report["error"]["message"].startswith(("MalformedInput:",
+                                                              "JSONDecodeError:"))
         else:
             assert buf.getvalue().startswith(f"{command}: {status}\n")

@@ -74,12 +74,15 @@ def test_transpose_examples():
 
 
 def test_transpose_pairing_identity():
-    # ⟨ᵗA u, v⟩ = ⟨u, A v⟩ on random 3×3 instances
+    # ⟨ᵗA u, v⟩ = ⟨u, A v⟩ on random instances, length-0 vectors and 0-column
+    # matrices (A·v = 0, and an empty pairing is 0) among them
     rng = random.Random(1)
-    for _ in range(10):
-        a = rand_matrix(rng, PT, 3, 3)
-        u, v = rand_vector(rng, PT, 3), rand_vector(rng, PT, 3)
+    for rows, cols in [(3, 3)] * 10 + [(2, 4), (3, 0), (0, 3), (0, 0)]:
+        a = rand_matrix(rng, PT, rows, cols) if rows else SectionMatrix.zeros(PT, 0, cols)
+        u, v = rand_vector(rng, PT, rows), rand_vector(rng, PT, cols)
         assert (a.transpose() @ u).pairing(v) == u.pairing(a @ v)
+        if not cols:
+            assert a @ v == SectionVector(PT, [0] * rows) and v.pairing(v) == 0
 
 
 def test_determinant_2x2_closed_form():

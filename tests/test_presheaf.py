@@ -332,7 +332,7 @@ def test_stalks():
 
 def test_carrier_cap():
     d4 = discrete(["a", "b", "c", "d"])
-    with pytest.raises(NonEnumerableSections):
+    with pytest.raises(NonEnumerableSections, match=r"exceed CARRIER_CAP = 200000$"):
         FunctionPresheaf(d4, tuple(F(i) for i in range(30))).sections(d4.whole)
 
 
