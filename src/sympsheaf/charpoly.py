@@ -8,8 +8,9 @@ the integer matrix D·M) and glued stalk by stalk; substitution runs
 `qlinalg._horner` (Horner's rule on D·M) at each point, and root finding
 works on an integer polynomial, so the inner loops do no Fraction
 arithmetic.
-Eigenvalues are exact rational roots of the pointwise polynomials (Sturm
-bisection, polynomial in the bit length of the coefficients);
+Eigenvalues are exact rational roots of the pointwise polynomials (integer
+brackets of the real roots, found by bisection between the brackets of the
+derivative, polynomial in the bit length of the coefficients);
 per-point eigenpair choices are glued into sections deterministically
 (eigenvalues ascending, eigenvectors normalized to leading entry 1).
 """
@@ -18,9 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from math import gcd
-from operator import ne
 from typing import Optional, Sequence
 
 from . import qlinalg
@@ -104,27 +102,6 @@ def cayley_hamilton_check(M: SectionMatrix, p: Polynomial) -> SectionMatrix:
 # -- exact rational eigen-solves -----------------------------------------------------
 
 
-def _primitive(p: list[int]) -> list[int]:
-    """p divided by its positive content; [] for the zero polynomial."""
-    while p and p[0] == 0:
-        p = p[1:]
-    g = gcd(*p)
-    return [x // g for x in p] if g > 1 else p
-
-
-def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
-    """A positive multiple of −(a mod b), primitive; polynomials over ℤ,
-    highest degree first, b nonzero.  Pseudo-division by b multiplies the
-    remainder by lc(b) at each step, whose sign is tracked."""
-    r, lead, sign = list(a), b[0], -1
-    while len(r) >= len(b):
-        if r[0]:
-            r = [lead * x - r[0] * y for x, y in zip_longest(r, b, fillvalue=0)]
-            sign = -sign if lead < 0 else sign
-        r = r[1:]
-    return [sign * x for x in _primitive(r)]
-
-
 def _value(p: list[int], x: int) -> int:
     acc = 0
     for c in p:
@@ -132,62 +109,37 @@ def _value(p: list[int], x: int) -> int:
     return acc
 
 
-def _sturm_chain(g: list[int]) -> list[list[int]]:
-    """g, g′ and the negated remainders after them, each primitive."""
-    n = len(g) - 1
-    chain = [g, _primitive([c * (n - i) for i, c in enumerate(g[:-1])])]
-    while len(chain[-1]) > 1:
-        nxt = _negated_remainder(chain[-2], chain[-1])
-        if not nxt:
-            break
-        chain.append(nxt)
-    return chain
+def _brackets(f: list[int]) -> list[int]:
+    """Sorted integers holding ⌊r⌋ and ⌈r⌉ of every real root r of f, a
+    nonzero polynomial over ℤ, highest degree first.
 
-
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for b with leading coefficient ±1 dividing a in ℤ[t]."""
-    r, q = list(a), []
-    while len(r) >= len(b):
-        c = r[0] * b[0]  # b[0] = ±1 is its own inverse
-        q.append(c)
-        r = [x - c * y for x, y in zip(r[1:], b[1:])] + r[len(b):]
-    return q
-
-
-def _integer_roots(chain: list[list[int]]) -> list[int]:
-    """Integer roots of g = chain[0], square-free over ℤ with leading
-    coefficient ±1 and highest degree first, from its Sturm chain.
-
-    Sturm's theorem on integer intervals (lo, hi]: the sign variations V of
-    the chain give the number of distinct real roots there as V(lo) − V(hi),
-    also when lo or hi is a root.  Bisection starts from Fujiwara's bound
-    |z| ≤ 2·max |g_{n−k}|^{1/k}, rounded up to a power of two, keeps only the
-    intervals holding a root and tests g(hi) = 0 on unit intervals, so it
-    costs O(roots · bit length) chain evaluations.
+    Every root has |r| < bound/2, with bound twice Fujiwara's 2·max
+    |f_k/f_0|^{1/k} rounded up to a power of two of at least 4; so do the
+    real roots of f′ (Gauss–Lucas), whose brackets therefore lie inside
+    ±bound.  Between adjacent points a < b − 1 of f′'s brackets and ±bound,
+    f′ has no root, so f is strictly monotone there and has a root inside
+    only if f(a) and f(b) have opposite signs; one bisection on the sign of
+    f narrows it to a unit interval.  A root inside a unit interval between
+    adjacent points has both ends among f′'s brackets already.
     """
-    g = chain[0]
-    bound = 2 << max((-(-abs(c).bit_length() // k) for k, c in enumerate(g[1:], 1)),
-                     default=0)
-    variations: dict[int, int] = {}
-
-    def var(x: int) -> int:
-        if x not in variations:
-            signs = [v > 0 for v in (_value(p, x) for p in chain) if v]
-            variations[x] = sum(map(ne, signs, signs[1:]))
-        return variations[x]
-
-    roots, todo = [], [(-bound - 1, bound)]
-    while todo:
-        lo, hi = todo.pop()
-        if var(lo) == var(hi):
-            continue
-        if hi - lo == 1:
-            if _value(g, hi) == 0:
-                roots.append(hi)
-            continue
-        mid = (lo + hi) // 2
-        todo += [(lo, mid), (mid, hi)]
-    return roots
+    n = len(f) - 1
+    if n < 1:
+        return []
+    top = f[0].bit_length()
+    bound = 4 << max(0, *(-((top - 1 - c.bit_length()) // k) for k, c in enumerate(f[1:], 1)))
+    out = _brackets([c * (n - i) for i, c in enumerate(f[:-1])])
+    points = [-bound, *out, bound]
+    values = [_value(f, x) for x in points]
+    for a, b, fa, fb in zip(points, points[1:], values, values[1:]):
+        if b - a > 1 and fa * fb < 0:
+            while b - a > 1:
+                mid = (a + b) // 2
+                if (_value(f, mid) < 0) == (fa < 0):
+                    a = mid
+                else:
+                    b = mid
+            out += [a, b]
+    return sorted(set(out))
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
@@ -196,9 +148,12 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     The zero roots are split off and the denominators cleared, giving
     f = Σ a_k t^k over ℤ with a₀ ≠ 0.  Substituting t = s/aₙ turns
     aₙⁿ⁻¹·f into the monic g(s) = Σ a_k·aₙⁿ⁻¹⁻ᵏ·s^k, whose rational roots are
-    integers (rational root theorem).  They are isolated by Sturm bisection
-    on the square-free part g/gcd(g, g′), in time polynomial in the bit
-    length of the coefficients.
+    integers (rational root theorem).  Each is among the brackets of g, and
+    a repeated root is a root of g′ too, so no square-free part is taken.
+    With b the bit length of the bound on the roots of g, which bounds those
+    of its derivatives too, the brackets take O(n²·(n + b)) evaluations:
+    O(n²) brackets for each derivative, and a bisection of O(b) steps for
+    each real root of each.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -209,13 +164,8 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     roots = [Fraction(0)] if low else []
     _, (a,) = qlinalg.scaled([coeffs[low:]])
     n, an = len(a) - 1, a[-1]
-    if n == 0:
-        return roots
     g = [1] + [a[k] * an ** (n - 1 - k) for k in reversed(range(n))]
-    chain = _sturm_chain(g)
-    if len(chain[-1]) > 1:  # gcd(g, g′) of positive degree: keep the square-free part
-        chain = _sturm_chain(_exact_quotient(g, chain[-1]))
-    roots += [Fraction(s, an) for s in _integer_roots(chain)]
+    roots += [Fraction(s, an) for s in _brackets(g) if _value(g, s) == 0]
     return sorted(roots)
 
 

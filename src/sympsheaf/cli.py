@@ -38,7 +38,7 @@ from .modules import determinant
 
 
 def _load_problem(path: str, command: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return jsonio.problem_from_json(fh.read(), command)
 
 
@@ -127,11 +127,13 @@ def _render_value(value, indent=0):
     if isinstance(value, dict):
         lines = []
         for k, v in value.items():
-            if isinstance(v, (dict, list)):
+            if not isinstance(v, (dict, list)):
+                lines.append(f"{pad}{k}: {v}")
+            elif not v:
+                lines.append(f"{pad}{k}: {json.dumps(v)}")  # [] or {}
+            else:
                 lines.append(f"{pad}{k}:")
                 lines.append(_render_value(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
         return "\n".join(lines)
     if isinstance(value, list):
         lines = []

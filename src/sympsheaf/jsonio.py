@@ -5,8 +5,8 @@ Rationals serialize as integers when integral and "p/q" strings otherwise;
 sections as {"open": [...], "values": {point: rational}}; matrices as
 arrays of arrays whose entries are bare rationals (constant sections) or
 section objects; k-forms with 1-based strictly increasing multi-indices.
-problem_from_json reads a problem file and checks every field its command
-uses before any algebra runs: input that breaks these rules raises
+problem_from_json decodes a problem file's bytes and checks every field its
+command uses before any algebra runs: input that breaks these rules raises
 MalformedInput naming the field.  witness_to_json encodes report witnesses.
 Input stays within Python's int→str digit limit, exponents included, and
 within the nesting that its recursion limit lets the JSON decoder follow.
@@ -236,9 +236,15 @@ def polynomial_to_json(p: Polynomial) -> list:
     return vector_to_json(p)
 
 
-def problem_from_json(text: str, command: str) -> tuple[OpenSet, dict[str, Any]]:
-    """The open set U that a problem file's text poses command over, and the
-    inputs command reads from it, by field name, every one of them checked."""
+def problem_from_json(data: bytes, command: str) -> tuple[OpenSet, dict[str, Any]]:
+    """The open set U that a problem file's bytes, UTF-8 text, pose command
+    over, and the inputs command reads from it, by field name, every one of
+    them checked.  A byte order mark is left for the JSON decoder to reject."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"problem: not UTF-8: byte {data[exc.start]:#04x} at offset "
+                             f"{exc.start} ({exc.reason})") from None
     try:
         problem = json.loads(text)
     except json.JSONDecodeError:

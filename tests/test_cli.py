@@ -14,7 +14,7 @@ import pytest
 
 from sympsheaf import KForm, is_symplectic_map, point_space, standard_J
 from sympsheaf import jsonio
-from sympsheaf.cli import _HANDLERS, main
+from sympsheaf.cli import _HANDLERS, _render_value, main
 from sympsheaf.errors import MalformedInput
 from sympsheaf.jsonio import kform_from_json, matrix_from_json, space_from_json
 
@@ -211,6 +211,15 @@ def test_text_output_mode():
     assert "change_of_basis" in out
 
 
+def test_text_output_writes_empty_arrays_and_objects_on_their_key_line():
+    # rot has no rational eigenvalue, so its pairs and residues are empty
+    code, out = run_cli("eigen", "rot", output="text")
+    assert code == 0
+    assert out == ("eigen: ok\nresult:\n  pairs: []\n  omitted_points:\n    - x\n"
+                   "certificate:\n  residues: []\n")
+    assert _render_value({"a": {}, "b": [], "c": 0}) == "a: {}\nb: []\nc: 0"
+
+
 def test_seed_changes_sampled_grid_but_not_verdict():
     for seed in (0, 1, 2):
         code, out = run_cli("sheaf-check", "sheaf_functions", seed=seed)
@@ -352,3 +361,22 @@ def test_deeply_nested_input_is_malformed(tmp_path):
 def test_section_values_must_be_an_object(values):
     with pytest.raises(MalformedInput, match=rf"^matrix\[0\]\[0\]\.values: not an object: "):
         matrix_from_json(point_space().whole, [[{"values": values}]])
+
+
+def test_input_that_is_not_utf8_is_malformed(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_bytes(ONE_POINT.encode() + b'"matrix": [["\xff"]]}')
+    code, out = run_argv(["charpoly", "--input", str(path), "--output", "json"])
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == (
+        f"MalformedInput: problem: not UTF-8: byte 0xff at offset {len(ONE_POINT) + 13} "
+        "(invalid start byte)")
+
+
+def test_a_byte_order_mark_is_left_to_the_json_decoder(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_bytes(b"\xef\xbb\xbf" + (DATA / "rot.json").read_bytes())
+    code, out = run_argv(["charpoly", "--input", str(path), "--output", "json"])
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == (
+        "JSONDecodeError: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)")

@@ -6,8 +6,11 @@ Horner substitution behind `poly_apply` run on D·M over ints; here they must
 equal plain-Fraction computations on random matrices of size 0…8 with mixed
 denominators, singular, rank-deficient and rectangular shapes, and on
 smaller ones with 80–100-bit entries, where the exponential oracles allow.
-`rational_roots` (Sturm bisection) must equal the trial-division oracle, and
-must solve planted 8×8 spectra of 20-digit rationals quickly.
+`rational_roots` (bisection between the integer brackets of the derivative's
+real roots) must equal the trial-division oracle, find planted spectra of
+degree 16–32 beyond the oracle's reach, and solve planted 8×8 spectra of
+20-digit rationals quickly; `_brackets` must hold ⌊r⌋ and ⌈r⌉ of every real
+root r of products of rational linear factors and t² ∓ c.
 
 The forms kernels run on ints as well: `qlinalg.symplectic_reduce` on the
 integer Gram matrix must return the very (m, C) of the Fraction reduction on
@@ -21,6 +24,7 @@ on degree-0 factors, overflowing degrees, empty stalks, U = ∅ and ranks of
 import random
 import time
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +38,7 @@ from sympsheaf import (
     rational_roots,
     wedge,
 )
+from sympsheaf.charpoly import _brackets
 from sympsheaf.qlinalg import (
     _horner,
     adjugate,
@@ -345,6 +350,65 @@ def test_rational_roots_of_a_large_constant_term():
     r = 10 ** 20 + 39
     assert rational_roots([F(-r * r), F(0), F(1)]) == [F(-r), F(r)]
     assert rational_roots([F(10 ** 30), F(0), F(1)]) == []
+
+
+def product(factors):
+    """The product of integer polynomials, each highest degree first."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+non_squares = st.integers(2, 10 ** 12).filter(lambda c: isqrt(c) ** 2 != c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear=st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 60),
+                                 st.integers(1, 3)), max_size=5),
+       real=st.lists(non_squares, max_size=3),
+       unreal=st.lists(st.integers(1, 10 ** 6), max_size=2),
+       lead=st.integers(-30, 30).filter(bool))
+def test_brackets_hold_the_floor_and_ceiling_of_every_real_root(linear, real, unreal, lead):
+    """(q·t − p)^m, (t² − c) with c a positive non-square and (t² + c) factors:
+    ⌊r⌋ and ⌈r⌉ of every real root r are brackets, and ±√c lie strictly
+    between isqrt(c) and isqrt(c) + 1."""
+    f = product([[lead]] + [[q, -p] for p, q, m in linear for _ in range(m)]
+                + [[1, 0, -c] for c in real] + [[1, 0, c] for c in unreal])
+    brackets = _brackets(f)
+    assert brackets == sorted(set(brackets))
+    ends = {e for p, q, _ in linear for e in (p // q, -(-p // q))}
+    for c in real:
+        s = isqrt(c)
+        ends |= {s, s + 1, -s - 1, -s}
+    assert ends <= set(brackets)
+
+
+@pytest.mark.parametrize("degree", [16, 20, 24, 28, 32])
+@pytest.mark.parametrize("denominators", [1, 10 ** 3])
+def test_rational_roots_of_planted_spectra_of_degree_16_to_32(degree, denominators):
+    """Planted roots, some repeated, times (t² − c) and (t² + c) factors, at
+    degrees the trial-division oracle cannot reach."""
+    rng = random.Random(degree * denominators)
+    factors, planted, left = [[rng.choice((-7, -1, 1, 3))]], set(), degree
+    while left:
+        if left >= 2 and rng.random() < 0.2:
+            c = rng.randint(2, 10 ** 6)
+            factors.append([1, 0, c] if rng.random() < 0.5 or isqrt(c) ** 2 == c else [1, 0, -c])
+            left -= 2
+        else:
+            root = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, denominators))
+            multiplicity = min(rng.randint(1, 3), left)
+            factors += [[root.denominator, -root.numerator]] * multiplicity
+            planted.add(root)
+            left -= multiplicity
+    p = product(factors)[::-1]  # constant term first
+    assert len(p) == degree + 1
+    assert rational_roots(p) == sorted(planted)
 
 
 def planted_matrix(rng, eigenvalues, blocks):
