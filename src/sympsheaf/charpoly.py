@@ -170,9 +170,11 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _eigenvector_at(stalk: qlinalg.QMatrix, lam: Fraction) -> list[Fraction]:
-    n = len(stalk)
-    shifted = [[stalk[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
-    kernel = qlinalg.kernel_basis(shifted)
+    # for λ = p/q, q·(D·M) − p·D·I = q·D·(M − λI): the same RREF and kernel, over ints
+    d, m = qlinalg.scaled(stalk)
+    p, q = lam.numerator, lam.denominator
+    kernel = qlinalg.kernel_basis(
+        [[q * x - (p * d if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(m)])
     if not kernel:
         raise AssertionError("eigenvalue without eigenvector; root finding bug")
     v = kernel[0]

@@ -8,8 +8,8 @@ section objects; k-forms with 1-based strictly increasing multi-indices.
 problem_from_json decodes a problem file's bytes and checks every field its
 command uses before any algebra runs: input that breaks these rules raises
 MalformedInput naming the field.  witness_to_json encodes report witnesses.
-Input stays within Python's int→str digit limit, exponents included, and
-within the nesting that its recursion limit lets the JSON decoder follow.
+Input stays within Python's int→str digit limit and within the nesting
+that its recursion limit lets the JSON decoder follow.
 
 Since A(U) = ∏_{x∈U} ℚ, every entry is read into, and written from, its
 tuple of values at the points of U: matrices, vectors and forms go to and
@@ -51,30 +51,22 @@ def fraction_to_json(q: Fraction) -> Any:
     return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # "p" or "p/q", ASCII digits
+
+
 def fraction_from_json(obj: Any, field: str) -> Fraction:
     if type(obj) is int:  # bool is an int subclass
         return Fraction(obj)
-    if isinstance(obj, str):
-        if ("e" in obj or "E" in obj) and _exponent_past_digit_limit(obj):
-            raise _past_digit_limit(field)
-        try:
-            return Fraction(obj)
-        except ZeroDivisionError:
-            raise MalformedInput(f"{field}: zero denominator: {obj!r}") from None
-        except ValueError:  # a malformed string, or a run of digits past the limit
-            limit = sys.get_int_max_str_digits()
-            if limit and re.search(rf"\d{{{limit + 1}}}", obj.replace("_", "")):
-                raise _past_digit_limit(field) from None
-    raise MalformedInput(f"{field}: not a rational: {obj!r}")
-
-
-def _exponent_past_digit_limit(text: str) -> bool:
-    """Whether text ends in an exponent above the digit limit: Fraction would
-    expand "1e100000000" to an integer of 100,000,001 digits, for minutes."""
-    limit = sys.get_int_max_str_digits()
-    exponent = re.search(r"[\d.][eE][-+]?([\d_]+)\s*$", text)
-    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
-    return bool(limit) and (len(digits) > len(str(limit)) or int(digits or 0) > limit)
+    match = _RATIONAL.fullmatch(obj) if isinstance(obj, str) else None
+    if match is None:
+        raise MalformedInput(f"{field}: not a rational: {obj!r}")
+    p, q = match.groups()
+    try:
+        return Fraction(int(p), int(q or 1))
+    except ZeroDivisionError:
+        raise MalformedInput(f"{field}: zero denominator: {obj!r}") from None
+    except ValueError:  # a run of digits past the int→str digit limit
+        raise _past_digit_limit(field) from None
 
 
 def _past_digit_limit(field: str) -> MalformedInput:
@@ -203,7 +195,7 @@ def _multi_index_from_json(key: str, degree: int, rank: int, field: str) -> tupl
     body = key.strip()
     if body.startswith("[") and body.endswith("]"):
         parts = [p.strip() for p in body[1:-1].split(",")] if body[1:-1].strip() else []
-        if all(map(str.isdecimal, parts)):
+        if all(p.isascii() and p.isdecimal() for p in parts):
             idx = tuple(int(p) - 1 for p in parts)
             if len(idx) == degree and all(a < b for a, b in zip((-1,) + idx, idx + (rank,))):
                 return idx

@@ -261,7 +261,7 @@ def check_completeness(presheaf: Presheaf, U: OpenSet,
     # S1: bucket the carrier keys by their tuple of restrictions.
     buckets: dict[tuple, list] = {}
     for k in presheaf._keys(U):
-        buckets.setdefault(tuple(r(k) for r in restrictors), []).append(k)
+        buckets.setdefault(tuple([r(k) for r in restrictors]), []).append(k)
     s1 = AxiomReport("S1", "pass")
     for group in buckets.values():
         if len(group) >= 2:
@@ -316,10 +316,8 @@ def _overlap_plan(presheaf: Presheaf, cover: Sequence[OpenSet]) -> list[_Step]:
     live: list[int] = []  # the opens the state holds keys of, in state order
     for l, V in enumerate(cover):
         look = [live.index(w) for w in checked[l]]
-        kept = list(range(len(live)))
-        for p in sorted((p for p, w in zip(look, checked[l]) if last[w] == l), reverse=True):
-            del kept[p], live[p]
-        live += entering[l]
+        kept = [p for p, w in enumerate(live) if last[w] > l]
+        live = [live[p] for p in kept] + entering[l]
         checks = [presheaf._restrictor(V, V.space.open_from_mask(w)) for w in checked[l]]
         enters = [presheaf._restrictor(V, V.space.open_from_mask(w)) for w in entering[l]]
         table: dict[tuple, list[tuple[Any, tuple]]] = {}

@@ -202,45 +202,26 @@ def enumerate_topologies(points: Sequence[str]) -> Iterator[FiniteSpace]:
     """All topologies on the given labels, via reflexive-transitive relations.
 
     Finite topologies correspond bijectively to preorders: the opens of a
-    topology are exactly the up-sets of its specialization preorder.  Each
-    candidate space is still passed through validate_topology.
+    topology are exactly the up-sets of its specialization preorder.  A
+    preorder is held as up-closure masks, up[i] the points above i, i
+    included: it is transitive when up[i] holds up[j] for each j in up[i],
+    and a mask is an up-set when it holds up[i] for each of its points.
+    Each candidate space is still passed through validate_topology.
     """
     points = tuple(points)
     n = len(points)
+    probe = FiniteSpace(points, frozenset())
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     for choice in range(1 << len(pairs)):
-        rel = [[i == j for j in range(n)] for i in range(n)]
+        up = [1 << i for i in range(n)]
         for k, (i, j) in enumerate(pairs):
             if choice >> k & 1:
-                rel[i][j] = True
-        if not _is_transitive(rel, n):
+                up[i] |= 1 << j
+        if any(up[j] & ~up[i] for i in range(n) for j in range(n) if up[i] >> j & 1):
             continue
-        # up-sets of the preorder: S open iff i in S and rel[i][j] imply j in S
-        masks = []
-        for mask in range(1 << n):
-            ok = True
-            for i in range(n):
-                if not mask >> i & 1:
-                    continue
-                for j in range(n):
-                    if rel[i][j] and not mask >> j & 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                masks.append(mask)
-        yield validate_topology(points, [FiniteSpace(points, frozenset()).labels_of(m) for m in masks])
-
-
-def _is_transitive(rel, n) -> bool:
-    for i in range(n):
-        for j in range(n):
-            if rel[i][j]:
-                for k in range(n):
-                    if rel[j][k] and not rel[i][k]:
-                        return False
-    return True
+        masks = [m for m in range(1 << n)
+                 if all(up[i] & ~m == 0 for i in range(n) if m >> i & 1)]
+        yield validate_topology(points, [probe.labels_of(m) for m in masks])
 
 
 def sierpinski() -> FiniteSpace:

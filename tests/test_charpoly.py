@@ -37,7 +37,10 @@ from sympsheaf.errors import (
     NotSymplectic,
 )
 
-from oracles import charpoly_cofactor, rand_matrix
+from sympsheaf.charpoly import _eigenvector_at
+
+from oracles import (charpoly_cofactor, cofactor_adjugate, cofactor_det, kernel_from_rref,
+                     qq_matmul, rand_matrix)
 
 PT = point_space().whole
 
@@ -261,6 +264,29 @@ def test_eigen_pairs_satisfy_equation_exactly():
         for pair in eigen_sections(m).pairs:
             assert (m @ pair.vector) == pair.vector.scale(pair.lam)
             assert pair.vector.is_nowhere_zero()
+
+
+def test_eigenvector_on_the_integer_stalk_matches_the_fraction_shift():
+    """_eigenvector_at eliminates q·(D·M) − p·D·I, a nonzero multiple of
+    M − λI for λ = p/q: its vector is the one the kernel of M − λI gives."""
+    rng = random.Random(12)
+    frac = lambda: F(rng.randint(-9, 9), rng.randint(1, 9))
+    for n in (2, 3, 4, 5):
+        for _ in range(8):
+            lams = [frac() for _ in range(n)]
+            lams[-1] = lams[0]  # a repeated eigenvalue, whose eigenspace may have dimension 2
+            T = [[lams[i] if i == j else frac() if j > i else F(0) for j in range(n)]
+                 for i in range(n)]
+            P = [[frac() for _ in range(n)] for _ in range(n)]
+            if cofactor_det(P) == 0:
+                continue
+            inverse = [[x / cofactor_det(P) for x in row] for row in cofactor_adjugate(P)]
+            M = qq_matmul(qq_matmul(P, T), inverse)
+            for lam in set(lams):
+                v = kernel_from_rref([[x - (lam if i == j else 0) for j, x in enumerate(row)]
+                                      for i, row in enumerate(M)])[0]
+                lead = next(x for x in v if x)
+                assert _eigenvector_at(M, lam) == [x / lead for x in v]
 
 
 # -- eigen presheaf gluing ---------------------------------------------------------------------

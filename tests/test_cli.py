@@ -141,7 +141,7 @@ def test_kform_degree_and_rank_are_required(key, field):
 
 
 @pytest.mark.parametrize("key", ["[2,1]", "[1,1]", "[0,1]", "[-1,2]", "[1,3]", "[1]", "[1,2,3]",
-                                 "1,2", "[1,2", "[+1,2]", "[1,,2]", "[]"])
+                                 "1,2", "[1,2", "[+1,2]", "[1,,2]", "[]", "[١,٣]"])
 def test_kform_multi_indices_name_the_key(key):
     obj = {"degree": 2, "rank": 2, "coeffs": {"[1,2]": 1, key: 1}}
     with pytest.raises(MalformedInput, match=rf"^xi\.coeffs\.{re.escape(key)}: "):
@@ -326,10 +326,9 @@ def test_reports_write_integers_past_the_digit_limit(tmp_path, output):
     assert (f'"det": {det}\n' if output == "json" else f"\n  det: {det}\n") in out
 
 
-@pytest.mark.parametrize("entry,field", [('"1/{}"', "matrix[0][0]"), ("{}", "problem"),
-                                         ('"1e100000000"', "matrix[0][0]"),
-                                         ('"-2.5E-1_000_000"', "matrix[0][0]")],
-                         ids=["rational-string", "integer-literal", "exponent", "negative-exponent"])
+@pytest.mark.parametrize("entry,field", [('"1/{}"', "matrix[0][0]"), ('"-{}/7"', "matrix[0][0]"),
+                                         ("{}", "problem")],
+                         ids=["rational-string", "numerator-string", "integer-literal"])
 def test_input_past_the_digit_limit_is_named(tmp_path, entry, field):
     limit = sys.get_int_max_str_digits()
     path = write_problem(tmp_path, ONE_POINT + f'"matrix": [[{entry.format("7" * (limit + 1))}]]}}')
@@ -339,13 +338,29 @@ def test_input_past_the_digit_limit_is_named(tmp_path, entry, field):
         f"MalformedInput: {field}: a number of more than {limit} digits, past the input digit limit"
 
 
-def test_exponents_within_the_digit_limit_are_read():
-    limit = sys.get_int_max_str_digits()
-    assert jsonio.fraction_from_json("1e3", "x") == 1000
-    assert jsonio.fraction_from_json(" -2.5E-2 ", "x") == F(-1, 40)
-    assert jsonio.fraction_from_json(f"1e{limit}", "x") == 10 ** limit
-    with pytest.raises(MalformedInput, match=r"^x: not a rational: 'e5'$"):
-        jsonio.fraction_from_json("e5", "x")
+@pytest.mark.parametrize("entry", ["1e100000000", "-2.5E-1_000_000"],
+                         ids=["exponent", "negative-exponent"])
+def test_exponents_are_not_rationals(tmp_path, entry):
+    # the grammar has no exponent, so no input expands past the digit limit
+    path = write_problem(tmp_path, ONE_POINT + f'"matrix": [[{json.dumps(entry)}]]}}')
+    code, out = run_argv(["charpoly", "--input", path, "--output", "json"])
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == \
+        f"MalformedInput: matrix[0][0]: not a rational: {entry!r}"
+
+
+@pytest.mark.parametrize("text,value", [("7", 7), ("-3/4", F(-3, 4)), ("6/4", F(3, 2)),
+                                        ("-0", 0), ("0/5", 0), ("007/010", F(7, 10))])
+def test_rationals_are_read_by_the_documented_grammar(text, value):
+    assert jsonio.fraction_from_json(text, "x") == value
+
+
+@pytest.mark.parametrize("text", ["1e3", " -2.5E-2 ", f"1e{sys.get_int_max_str_digits()}", "e5",
+                                  "0.5", "+3", "1_000", "٣/٤", "٣", " 3/4 ", "3/4\n", "3/-4",
+                                  "-3/-4", "--3", "3/", "/4", "1/2/3", "-", "0x10", "inf", "nan"])
+def test_strings_outside_the_grammar_are_not_rationals(text):
+    with pytest.raises(MalformedInput, match=rf"^x: not a rational: {re.escape(repr(text))}$"):
+        jsonio.fraction_from_json(text, "x")
 
 
 def test_deeply_nested_input_is_malformed(tmp_path):

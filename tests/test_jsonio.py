@@ -130,7 +130,8 @@ def _parsed_cases():
 
 DOCS = list(_parsed_cases())
 # what a scalar is swapped for, and what else a container may become
-ODD_SCALARS = [None, True, False, 1.5, 2.0, -0.0, 1e300, "1/0", "x", "", "1/-2", 10 ** 40]
+ODD_SCALARS = [None, True, False, 1.5, 2.0, -0.0, 1e300, "1/0", "x", "", "1/-2", 10 ** 40,
+               "1e3", "0.5", " 3 ", "+3", "1_000", "٣"]
 ODD = ODD_SCALARS + [-7, "3/4", [], {}, [[0]], [1, "a"], {"values": {}},
                      {"open": [], "values": {}}]
 LABELS = ["a", "b", "c", "z", "", "x"]

@@ -116,6 +116,12 @@ def test_enumerate_topology_counts():
     assert sum(1 for _ in enumerate_topologies(["a", "b", "c"])) == 29
 
 
+def test_four_points_carry_355_distinct_topologies():
+    # OEIS A000798: 355 labeled topologies on 4 points, each listed once
+    spaces = list(enumerate_topologies(["a", "b", "c", "d"]))
+    assert len(spaces) == len({sp.opens for sp in spaces}) == 355
+
+
 def test_space_json_roundtrip():
     sp = validate_topology(["a", "b"], [[], ["a"], ["a", "b"]])
     blob = space_to_json(sp)
