@@ -17,9 +17,8 @@ per-point eigenpair choices are glued into sections deterministically
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import qlinalg
 from .errors import (
@@ -182,16 +181,14 @@ def _eigenvector_at(stalk: qlinalg.QMatrix, lam: Fraction) -> list[Fraction]:
     return [x / lead for x in v]
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     """An eigenvalue section λ with a nowhere-zero eigenvector: M·s = λ·s."""
 
     lam: StructureSection
     vector: SectionVector
 
 
-@dataclass(frozen=True)
-class EigenReport:
+class EigenReport(NamedTuple):
     pairs: tuple[EigenPair, ...]
     omitted_points: tuple[str, ...]
 
@@ -258,8 +255,7 @@ def eigen_presheaf_glue(M: SectionMatrix, cover: Sequence[OpenSet],
 # -- symplectic eigenvalue reciprocity ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReciprocityReport:
+class ReciprocityReport(NamedTuple):
     palindromic: bool
     spectrum_closed: bool
     char: Polynomial

@@ -16,7 +16,6 @@ wedge runs per stalk on ints: each factor over its common denominator
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
@@ -339,14 +338,35 @@ def form_power(omega: KForm, m: int) -> KForm:
     return out
 
 
-@dataclass(frozen=True)
 class GradedForm:
     """An element of the Grassmann algebra Ω* = Ω⁰⊕…⊕Ωⁿ: at most one
     component per degree."""
 
+    __slots__ = ("domain", "rank", "components")
     domain: OpenSet
     rank: int
     components: tuple[KForm, ...]  # nonzero, strictly increasing degrees
+
+    def __init__(self, domain: OpenSet, rank: int, components: tuple[KForm, ...]):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "components", components)
+
+    def __eq__(self, other):
+        if other.__class__ is not GradedForm:
+            return NotImplemented
+        return (self.rank == other.rank and self.domain == other.domain
+                and self.components == other.components)
+
+    def __hash__(self):
+        return hash((self.domain, self.rank, self.components))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        return (f"GradedForm(domain={self.domain!r}, rank={self.rank!r}, "
+                f"components={self.components!r})")
 
     @classmethod
     def from_forms(cls, domain: OpenSet, rank: int, forms: Iterable[KForm]) -> "GradedForm":

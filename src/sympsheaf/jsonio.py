@@ -191,11 +191,14 @@ def kform_to_json(f: KForm) -> dict:
 
 
 def _multi_index_from_json(key: str, degree: int, rank: int, field: str) -> tuple[int, ...]:
-    """The 0-based indices of a key "[i1,…,ik]", k = degree, 1 ≤ i1 < … < ik ≤ rank."""
+    """The 0-based indices of a key "[i1,…,ik]", k = degree, 1 ≤ i1 < … < ik ≤ rank.
+    An index written with more digits than rank is rejected unread, so none
+    reaches int() past its digit limit."""
     body = key.strip()
+    width = len(str(rank))
     if body.startswith("[") and body.endswith("]"):
         parts = [p.strip() for p in body[1:-1].split(",")] if body[1:-1].strip() else []
-        if all(p.isascii() and p.isdecimal() for p in parts):
+        if all(p.isascii() and p.isdecimal() and len(p) <= width for p in parts):
             idx = tuple(int(p) - 1 for p in parts)
             if len(idx) == degree and all(a < b for a, b in zip((-1,) + idx, idx + (rank,))):
                 return idx

@@ -14,9 +14,8 @@ StructureSection entries are built only when a caller reads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import qlinalg
 from .errors import DimensionMismatch, DomainMismatch, NonUnitDeterminant, NotSquare
@@ -247,8 +246,7 @@ def kronecker_product(a: SectionMatrix, b: SectionMatrix) -> SectionMatrix:
          for sa, sb in zip(a.stalks, b.stalks)))
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     independent: bool
     witness_point: Optional[str] = None
     relation: Optional[tuple[Fraction, ...]] = None

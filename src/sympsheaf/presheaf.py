@@ -42,7 +42,6 @@ the minimal open neighborhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter
@@ -219,8 +218,7 @@ class GermSampledPresheaf(Presheaf):
         return (glue_stalkwise(U, f.cover, f.sections) for f in _compatible_families(self, cover))
 
 
-@dataclass(frozen=True)
-class CompatibleFamily:
+class CompatibleFamily(NamedTuple):
     """A choice of section over each cover member, agreeing on overlaps."""
 
     cover: tuple[OpenSet, ...]
@@ -230,8 +228,7 @@ class CompatibleFamily:
         return [(V.labels, s) for V, s in zip(self.cover, self.sections)]
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     axiom: str
     status: str  # "pass" | "fail"
     witness: Any = None
@@ -241,8 +238,7 @@ class AxiomReport:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     s1: AxiomReport
     s2: AxiomReport
 

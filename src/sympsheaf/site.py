@@ -7,7 +7,6 @@ opens explicitly, so validation transliterates the closure axioms directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -23,12 +22,27 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class FiniteSpace:
     """A validated finite topological space."""
 
+    __slots__ = ("points", "opens")
     points: tuple[str, ...]
     opens: frozenset[int]
+
+    def __init__(self, points: tuple[str, ...], opens: frozenset[int]):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "opens", opens)
+
+    def __eq__(self, other):
+        if other.__class__ is not FiniteSpace:
+            return NotImplemented
+        return self.points == other.points and self.opens == other.opens
+
+    def __hash__(self):
+        return hash((self.points, self.opens))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def full_mask(self) -> int:
@@ -73,12 +87,27 @@ class FiniteSpace:
         return f"FiniteSpace(points={list(self.points)}, opens={len(self.opens)})"
 
 
-@dataclass(frozen=True)
 class OpenSet:
     """An open set of a finite space, identified by its member bitmask."""
 
+    __slots__ = ("space", "mask")
     space: FiniteSpace
     mask: int
+
+    def __init__(self, space: FiniteSpace, mask: int):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other):
+        if other.__class__ is not OpenSet:
+            return NotImplemented
+        return self.mask == other.mask and (self.space is other.space or self.space == other.space)
+
+    def __hash__(self):
+        return hash((self.space, self.mask))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def labels(self) -> tuple[str, ...]:

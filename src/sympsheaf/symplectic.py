@@ -23,11 +23,9 @@ exactly in section arithmetic.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import qlinalg
 from .errors import (
@@ -43,6 +41,9 @@ from .exterior import KForm, form_power
 from .modules import ONE, ZERO, SectionMatrix, SectionVector, determinant, try_inverse_matrix
 from .sections import StructureSection
 from .site import OpenSet
+
+if TYPE_CHECKING:  # for an annotation alone: random_symplectic's caller passes the generator
+    import random
 
 
 # -- the reference form -------------------------------------------------------
@@ -79,8 +80,7 @@ def standard_two_form(domain: OpenSet, m: int) -> KForm:
 # -- form classification ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormReport:
+class FormReport(NamedTuple):
     skew: bool
     ranks: dict  # point label -> pointwise rank (always even for skew forms)
     nondegenerate: bool
@@ -127,8 +127,7 @@ def form_pairing(omega: SectionMatrix, u: SectionVector, v: SectionVector) -> St
 # -- the constructive reduction -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DarbouxBasis:
+class DarbouxBasis(NamedTuple):
     """A certified symplectic basis s₁..s_m, t₁..t_m (plus kernel vectors in
     the degenerate case).  P has the basis as columns and gram = ᵗPΩP is the
     certificate."""
@@ -227,16 +226,32 @@ def is_symplectic_map(M: SectionMatrix, omega: SectionMatrix) -> bool:
     return M.transpose() @ omega @ M == omega
 
 
-@dataclass(frozen=True)
 class SymplecticMap:
     """A matrix certified against a reference form: ᵗMJM = J."""
 
+    __slots__ = ("matrix", "form")
     matrix: SectionMatrix
     form: SectionMatrix
 
-    def __post_init__(self):
-        if not is_symplectic_map(self.matrix, self.form):
+    def __init__(self, matrix: SectionMatrix, form: SectionMatrix):
+        if not is_symplectic_map(matrix, form):
             raise NotSymplectic("matrix does not preserve the reference form")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "form", form)
+
+    def __eq__(self, other):
+        if other.__class__ is not SymplecticMap:
+            return NotImplemented
+        return self.matrix == other.matrix and self.form == other.form
+
+    def __hash__(self):
+        return hash((self.matrix, self.form))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        return f"SymplecticMap(matrix={self.matrix!r}, form={self.form!r})"
 
     @classmethod
     def identity(cls, domain: OpenSet, m: int) -> "SymplecticMap":

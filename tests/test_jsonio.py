@@ -18,7 +18,7 @@ from sympsheaf.jsonio import (entry_to_json, fraction_to_json, kform_from_json, 
                               matrix_from_json, matrix_to_json, polynomial_to_json,
                               section_from_json, vector_from_json, vector_to_json)
 
-from test_cli import CASES, DATA
+from test_cli import CASES, DATA, run_argv
 
 SPACES = [sierpinski(), *enumerate_topologies(["a", "b", "c"])]
 opens = st.sampled_from(SPACES).flatmap(lambda sp: st.sampled_from(sp.all_opens()))
@@ -214,3 +214,18 @@ def test_mutated_inputs_get_a_report(problem_file, mutant):
                                                               "JSONDecodeError:"))
         else:
             assert buf.getvalue().startswith(f"{command}: {status}\n")
+
+
+@pytest.mark.parametrize("index", ["9" * 5000, "0" * 4999 + "1"], ids=["large", "zero-padded"])
+def test_a_multi_index_past_the_digit_limit_is_named(tmp_path, index):
+    """An index of 5,000 digits, past the int→str digit limit, is rejected by
+    its length with the field named, zero-padded or not."""
+    doc = json.loads((DATA / "wedge_basic.json").read_text(encoding="utf-8"))
+    doc["xi"]["coeffs"] = {f"[{index},3]": 1, "[2,4]": 1}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_argv(["wedge", "--input", str(path), "--output", "json"])
+    message = json.loads(out)["error"]["message"]
+    assert code == 2
+    assert message.startswith("MalformedInput: xi.coeffs.")
+    assert "not a multi-index for degree 2, rank 4" in message
