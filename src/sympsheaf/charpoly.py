@@ -30,11 +30,9 @@ from .errors import (
     NotSymplectic,
 )
 from .modules import SectionMatrix, SectionVector
-from .presheaf import glue_stalkwise
 from .qlinalg import _horner, qq_charpoly
 from .sections import StructureSection
 from .site import OpenSet, require_open_cover
-from .symplectic import is_symplectic_map, standard_J
 
 CHARPOLY_SIZE_CAP = 8
 
@@ -233,6 +231,7 @@ def eigen_presheaf_glue(M: SectionMatrix, cover: Sequence[OpenSet],
     overlap with the two restrictions there.  Each member must be an actual
     eigenpair of M restricted to its member.
     """
+    from .presheaf import glue_stalkwise
     U = M.domain
     require_open_cover(U, cover)
     if len(cover) != len(pairs):
@@ -266,6 +265,7 @@ def reciprocal_spectrum_check(M: SectionMatrix,
                               form: Optional[SectionMatrix] = None) -> ReciprocityReport:
     """Verify P(t) = t^{2n}·P(1/t) for a symplectomorphism and that every
     pointwise rational spectrum is closed under λ ↦ 1/λ."""
+    from .symplectic import is_symplectic_map, standard_J
     if M.rows % 2:
         raise DimensionMismatch("symplectomorphisms have even rank")
     J = form if form is not None else standard_J(M.domain, M.rows // 2)

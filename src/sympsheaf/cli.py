@@ -7,12 +7,15 @@ The commands are the keys of ``_HANDLERS``.  ``jsonio.problem_from_json``
 reads and checks the problem file; a handler takes the open set U it poses
 (its space is ``U.space``), the seed and the command's inputs by field name,
 and returns (exit code, status, result, certificate); ``main`` writes the
-report under the command's name.
+report under the command's name.  At module level this file imports only
+``jsonio`` and ``errors``: each handler imports the library modules it calls
+on its first call, so a command loads only what it uses.
 
 Exit codes: 0 success, 1 domain errors (degenerate form, non-unit
 determinant, failed check, incompatible family), 2 malformed input.  The
 JSON report is byte-stable for a fixed input file and seed; text mode is a
-human-readable rendering of the same data.
+human-readable rendering of the same data, with `- ` before each list item
+and null, true and false as in the JSON report.
 """
 
 from __future__ import annotations
@@ -23,18 +26,7 @@ import sys
 from functools import cache
 
 from . import jsonio
-from .charpoly import cayley_hamilton_check, char_poly, eigen_sections
 from .errors import AlgebraError
-from .exterior import wedge
-from .presheaf import check_completeness, sample_grid
-from .symplectic import (
-    block_normal_form,
-    darboux_basis,
-    is_symplectic_map,
-    skew_normal_form,
-    standard_J,
-)
-from .modules import determinant
 
 
 def _load_problem(path: str, command: str):
@@ -43,6 +35,7 @@ def _load_problem(path: str, command: str):
 
 
 def _run_darboux(U, seed, form):
+    from .symplectic import darboux_basis
     basis = darboux_basis(form)
     result = {
         "m": basis.m,
@@ -54,6 +47,7 @@ def _run_darboux(U, seed, form):
 
 
 def _run_normal_form(U, seed, form):
+    from .symplectic import block_normal_form, skew_normal_form
     m, P = skew_normal_form(form)  # checks ᵗPΩP against the block form
     result = {"m": m, "change_of_basis": jsonio.matrix_to_json(P)}
     certificate = {"gram": jsonio.matrix_to_json(block_normal_form(U, m, form.rows))}
@@ -61,6 +55,8 @@ def _run_normal_form(U, seed, form):
 
 
 def _run_check_symplectic(U, seed, matrix, form):
+    from .modules import determinant
+    from .symplectic import is_symplectic_map, standard_J
     if form is None:
         if matrix.rows % 2:
             raise AlgebraError("no reference form given and the rank is odd")
@@ -75,6 +71,7 @@ def _run_check_symplectic(U, seed, matrix, form):
 
 
 def _run_charpoly(U, seed, matrix):
+    from .charpoly import cayley_hamilton_check, char_poly
     p = char_poly(matrix)
     residue = cayley_hamilton_check(matrix, p)
     result = {"monic": True, "coeffs": jsonio.polynomial_to_json(p)}
@@ -83,6 +80,7 @@ def _run_charpoly(U, seed, matrix):
 
 
 def _run_eigen(U, seed, matrix):
+    from .charpoly import eigen_sections
     report = eigen_sections(matrix)
     pairs = [{"lambda": jsonio.entry_to_json(p.lam),
               "vector": jsonio.vector_to_json(p.vector)} for p in report.pairs]
@@ -94,6 +92,7 @@ def _run_eigen(U, seed, matrix):
 
 
 def _run_sheaf_check(U, seed, grid, presheaf, cover):
+    from .presheaf import check_completeness, sample_grid
     grid = sample_grid(seed) if grid is None else grid
     report = check_completeness(presheaf(U.space, grid), U, cover)
     result = {r.axiom: {"axiom": r.axiom, "status": r.status,
@@ -105,6 +104,7 @@ def _run_sheaf_check(U, seed, grid, presheaf, cover):
 
 
 def _run_wedge(U, seed, xi, eta):
+    from .exterior import wedge
     out = wedge(xi, eta)
     result = {"form": jsonio.kform_to_json(out),
               "degree_overflow": out.degree > out.rank}
@@ -122,30 +122,32 @@ _HANDLERS = {
 }
 
 
+def _leaf(value) -> str:
+    """A scalar, an empty container or a flat array as the JSON report writes
+    it (null, true, false), a string without its quotes."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
 def _render_value(value, indent=0):
+    """A dict as `key: value` lines and a list as `- item` lines, a nested
+    container one level deeper.  An object or a nested array in a list starts
+    on its own `- ` line, so adjacent members stay apart."""
     pad = "  " * indent
+    lines = []
     if isinstance(value, dict):
-        lines = []
         for k, v in value.items():
-            if not isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}: {v}")
-            elif not v:
-                lines.append(f"{pad}{k}: {json.dumps(v)}")  # [] or {}
+            if isinstance(v, (dict, list)) and v:
+                lines += [f"{pad}{k}:", _render_value(v, indent + 1)]
             else:
-                lines.append(f"{pad}{k}:")
-                lines.append(_render_value(v, indent + 1))
-        return "\n".join(lines)
-    if isinstance(value, list):
-        lines = []
+                lines.append(f"{pad}{k}: {_leaf(v)}")
+    else:
         for v in value:
-            if isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v):
-                lines.append(f"{pad}- {json.dumps(v)}")  # matrix row / vector
-            elif isinstance(v, (dict, list)):
-                lines.append(_render_value(v, indent + 1))
+            if (isinstance(v, dict) and v) or \
+                    (isinstance(v, list) and any(isinstance(x, (dict, list)) for x in v)):
+                lines.append(f"{pad}- {_render_value(v, indent + 1)[len(pad) + 2:]}")
             else:
-                lines.append(f"{pad}- {v}")
-        return "\n".join(lines)
-    return f"{pad}{value}"
+                lines.append(f"{pad}- {_leaf(v)}")  # a scalar, a matrix row or a vector
+    return "\n".join(lines)
 
 
 def _emit(report: dict, mode: str, stream) -> None:

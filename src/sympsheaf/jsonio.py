@@ -13,7 +13,9 @@ that its recursion limit lets the JSON decoder follow.
 
 Since A(U) = ∏_{x∈U} ℚ, every entry is read into, and written from, its
 tuple of values at the points of U: matrices, vectors and forms go to and
-from their `stalks` directly, with no section object per entry.
+from their `stalks` directly, with no section object per entry.  Each
+reader imports the class it builds once its input has been checked, so
+malformed input loads no algebra module.
 """
 
 from __future__ import annotations
@@ -22,19 +24,20 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .charpoly import Polynomial
 from .errors import MalformedInput, NotAnOpen, TopologyError, UnknownPoint
-from .exterior import KForm
-from .modules import SectionMatrix, SectionVector
-from .presheaf import CompatibleFamily, ConstantPresheaf, FunctionPresheaf
-from .sections import StructureSection
 from .site import FiniteSpace, OpenSet, validate_topology
+
+if TYPE_CHECKING:  # for annotations alone: each reader imports the class it builds
+    from .charpoly import Polynomial
+    from .exterior import KForm
+    from .modules import SectionMatrix, SectionVector
+    from .sections import StructureSection
 
 _MISSING = object()  # what a reader is given for an absent key
 _NOT = {list: "not an array", dict: "not an object"}
-_PRESHEAVES = {"functions": FunctionPresheaf, "constant": ConstantPresheaf}
+_PRESHEAVES = {"functions": "FunctionPresheaf", "constant": "ConstantPresheaf"}
 
 
 def _checked(value: Any, field: str, kind: type = object) -> Any:
@@ -132,7 +135,9 @@ def _values_from_json(domain: OpenSet, obj: Any, field: str) -> tuple[Fraction, 
 
 
 def section_from_json(domain: OpenSet, obj: Any, field: str) -> StructureSection:
-    return StructureSection.from_stalks(domain, _values_from_json(domain, obj, field))
+    values = _values_from_json(domain, obj, field)
+    from .sections import StructureSection
+    return StructureSection.from_stalks(domain, values)
 
 
 def _entry(labels: Sequence[str], values: Sequence[Fraction]) -> Any:
@@ -166,6 +171,7 @@ def matrix_from_json(domain: OpenSet, obj: Any, field: str = "matrix") -> Sectio
             raise MalformedInput(f"{field}[{i}]: {len(row)} entries where row 0 has {len(obj[0])}")
     grid = [[_values_from_json(domain, e, f"{field}[{i}][{j}]") for j, e in enumerate(row)]
             for i, row in enumerate(obj)]
+    from .modules import SectionMatrix
     return SectionMatrix.from_stalks(
         domain, len(grid), len(grid[0]) if grid else 0,
         ([[e[k] for e in row] for row in grid] for k in range(domain.size)))
@@ -178,6 +184,7 @@ def vector_to_json(v: SectionVector) -> list:
 
 def vector_from_json(domain: OpenSet, obj: Sequence) -> SectionVector:
     entries = [_values_from_json(domain, e, f"vector[{i}]") for i, e in enumerate(obj)]
+    from .modules import SectionVector
     return SectionVector.from_stalks(domain, len(entries),
                                      ([e[k] for e in entries] for k in range(domain.size)))
 
@@ -222,6 +229,7 @@ def kform_from_json(domain: OpenSet, obj: Any, field: str) -> KForm:
     coeffs = _checked(obj.get("coeffs", {}), f"{field}.coeffs", dict)
     values = {_multi_index_from_json(k, degree, rank, f"{field}.coeffs.{k}"):
               _values_from_json(domain, v, f"{field}.coeffs.{k}") for k, v in coeffs.items()}
+    from .exterior import KForm
     # from_stalks runs no _check_index: _multi_index_from_json has checked every key
     return KForm.from_stalks(domain, rank, degree,
                              ({idx: c[k] for idx, c in values.items()} for k in range(domain.size)))
@@ -280,7 +288,8 @@ def _presheaf_from_json(U: OpenSet, obj: Any, field: str) -> type:
     kind = "functions" if obj is _MISSING else obj
     if not isinstance(kind, str) or kind not in _PRESHEAVES:
         raise MalformedInput(f"{field}: unknown presheaf kind {kind!r}")
-    return _PRESHEAVES[kind]
+    from . import presheaf
+    return getattr(presheaf, _PRESHEAVES[kind])
 
 
 # command -> the fields it reads, each with its reader, in the order they are checked
@@ -302,17 +311,26 @@ def witness_to_json(witness: Any) -> Any:
     """An error's or a failed axiom's witness: a compatible family as
     {"family": [{"open", "section"}, …]}, rationals and sections as above,
     containers entry by entry and anything else by its repr."""
-    if isinstance(witness, CompatibleFamily):
-        return {"family": [{"open": list(V.labels), "section": witness_to_json(s)}
-                           for V, s in zip(witness.cover, witness.sections)]}
-    if isinstance(witness, (list, tuple)):
-        return [witness_to_json(v) for v in witness]
-    if isinstance(witness, dict):
-        return {str(k): witness_to_json(v) for k, v in witness.items()}
-    if isinstance(witness, Fraction):
-        return fraction_to_json(witness)
-    if isinstance(witness, StructureSection):
-        return section_to_json(witness)
-    if isinstance(witness, (str, int, bool)) or witness is None:
-        return witness
-    return repr(witness)
+    from .sections import StructureSection
+    # a compatible family exists only once presheaf is loaded: other commands'
+    # witnesses are encoded without loading it
+    presheaf = sys.modules.get(f"{__package__}.presheaf")
+    CompatibleFamily = presheaf.CompatibleFamily if presheaf else ()
+
+    def encode(w):  # imports nothing, since it recurses
+        if isinstance(w, CompatibleFamily):
+            return {"family": [{"open": list(V.labels), "section": encode(s)}
+                               for V, s in zip(w.cover, w.sections)]}
+        if isinstance(w, (list, tuple)):
+            return [encode(v) for v in w]
+        if isinstance(w, dict):
+            return {str(k): encode(v) for k, v in w.items()}
+        if isinstance(w, Fraction):
+            return fraction_to_json(w)
+        if isinstance(w, StructureSection):
+            return section_to_json(w)
+        if isinstance(w, (str, int, bool)) or w is None:
+            return w
+        return repr(w)
+
+    return encode(witness)

@@ -37,13 +37,16 @@ from .errors import (
     NotSquare,
     NotSymplectic,
 )
-from .exterior import KForm, form_power
 from .modules import ONE, ZERO, SectionMatrix, SectionVector, determinant, try_inverse_matrix
 from .sections import StructureSection
 from .site import OpenSet
 
-if TYPE_CHECKING:  # for an annotation alone: random_symplectic's caller passes the generator
+# for annotations alone: random_symplectic's caller passes the generator, and
+# the two k-form helpers import exterior when called, so darboux loads none of it
+if TYPE_CHECKING:
     import random
+
+    from .exterior import KForm
 
 
 # -- the reference form -------------------------------------------------------
@@ -64,6 +67,7 @@ def block_normal_form(domain: OpenSet, m: int, n: int) -> SectionMatrix:
 
 def gram_two_form(omega: SectionMatrix) -> KForm:
     """The 2-form Σ_{i<j} Ω_ij ε^i*∧ε^j* whose Gram matrix is Ω."""
+    from .exterior import KForm
     if not omega.is_square():
         raise NotSquare("Gram matrix must be square")
     n = omega.rows
@@ -325,6 +329,7 @@ def hyperbolic_sum_form(domain: OpenSet, n: int) -> SectionMatrix:
 def orientation_form(omega: KForm, m: int) -> KForm:
     """((−1)^⌊m/2⌋ / m!)·ωᵐ, the orientation attached to a symplectic form;
     DegenerateForm when ωᵐ vanishes."""
+    from .exterior import form_power
     if omega.degree != 2:
         raise DimensionMismatch("orientation_form expects a 2-form")
     if 2 * m != omega.rank:

@@ -220,6 +220,24 @@ def test_text_output_writes_empty_arrays_and_objects_on_their_key_line():
     assert _render_value({"a": {}, "b": [], "c": 0}) == "a: {}\nb: []\nc: 0"
 
 
+# text reports: an S2 witness family and eigenpairs, lists of objects, and a null witness
+TEXT_CASES = [("sheaf-check", "constant_presheaf", 1), ("eigen", "eigen_sections", 0)]
+
+
+@pytest.mark.parametrize("command,case,expected_code", TEXT_CASES,
+                         ids=[f"{c}-{n}" for c, n, _ in TEXT_CASES])
+def test_text_golden(command, case, expected_code):
+    code, out = run_cli(command, case, output="text")
+    assert code == expected_code
+    assert out == (GOLDEN / f"{command}_{case}.txt").read_text()
+
+
+def test_text_marks_each_object_in_a_list_and_writes_json_literals():
+    value = {"rows": [[{"a": 1}, 2], [3, None]], "items": [{"x": True}, {}, False]}
+    assert _render_value(value) == ("rows:\n  - - a: 1\n    - 2\n  - [3, null]\n"
+                                    "items:\n  - x: true\n  - {}\n  - false")
+
+
 def test_seed_changes_sampled_grid_but_not_verdict():
     for seed in (0, 1, 2):
         code, out = run_cli("sheaf-check", "sheaf_functions", seed=seed)

@@ -1,7 +1,7 @@
 """The library's immutable records: construction, defaults, equality, hash,
 repr and immutability, and the names the package exports."""
 
-import types
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -171,8 +171,7 @@ def test_properties_and_methods():
     assert SymplecticMap.identity(U, 1) == build(SymplecticMap)
 
 
-# what `from sympsheaf import *` binds, the submodules aside: which of those
-# it binds depends on the modules the process has imported
+# the package's public names: its __all__, so what `from sympsheaf import *` binds
 EXPORTED = {
     "CompatibleFamily", "CompletenessReport", "ConstantPresheaf", "CovariantTensor",
     "DarbouxBasis", "EigenPair", "EigenReport", "FiniteSpace", "FormReport",
@@ -196,5 +195,23 @@ def test_star_import_exports_the_public_names():
     namespace = {}
     exec("from sympsheaf import *", namespace)
     del namespace["__builtins__"]
-    assert {name for name, value in namespace.items()
-            if not isinstance(value, types.ModuleType)} == EXPORTED
+    assert set(namespace) == EXPORTED
+
+
+def test_all_lists_the_public_names_once():
+    assert sorted(sympsheaf.__all__) == sorted(EXPORTED)
+
+
+def test_each_public_name_is_its_submodules_object():
+    assert EXPORTED <= set(dir(sympsheaf))
+    for name in EXPORTED:
+        value = getattr(sympsheaf, name)
+        assert value.__module__.rpartition(".")[0] == "sympsheaf", name
+        assert value is getattr(sys.modules[value.__module__], name), name
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        sympsheaf.no_such_name
+    assert not hasattr(sympsheaf, "no_such_name")
+    assert "no_such_name" not in dir(sympsheaf)
