@@ -12,26 +12,33 @@ integer key, and restricts keys along inclusions with a restrictor built
 once per pair of opens.  Since A(U) = ∏_{x∈U} ℚ, a function section is named
 by its tuple of indices into the grid of distinct values and restricts by an
 index gather; a constant by its grid index; a germ-sampled section by its
-position in the carrier.  S1 buckets the carrier keys over U by their tuple
-of restrictions to the cover members, and fails on the first bucket with two
-keys.
+position in the carrier.  Over ∅ every presheaf here has one section.
 
-S2 runs over one overlap plan per (presheaf, cover).  Member V_l checks only
-the maximal opens among its nonempty overlaps V_i ∩ V_l, i < l; the smaller
-overlaps follow by functoriality.  A state holds one key per open W that is
-live: W enters at the first member containing it and leaves after the last
-member that checks it.  Each member has one table from its keys' restrictions
-to the checked overlaps onto its keys, with their restrictions to the opens
-entering there.  Counting walks the members breadth first over states
-(bucket elimination, Dechter 1999) and gives the number of distinct
-compatible families.  Every S1 bucket is one, since carriers are closed
-under restriction, so S2 passes iff the count is the number of buckets.
-Otherwise the depth-first walk over the same plan, in carrier order, finds
-the first family that hits no bucket: the witness.  sheafify_sections lists
-the families with the same walk.  Section objects are built only for the
-S1/S2 witnesses and for public output.  For infinite section sets (all
-ℚ-valued functions) the carrier samples a deterministic finite grid of
-rationals; within the sampled carrier the verdict is exact.
+Both axioms are decided on the maximal cover members: those inside no other
+member, the first of equal members kept.  Restriction to a member inside a
+kept one factors through it, and F(∅) is one section, so dropping the other
+members changes neither the S1 partition nor the compatible families.  S1
+buckets the carrier keys over U by their tuple of restrictions to the
+maximal members, keeping the first key of each bucket and the second when
+there is one, and fails on the first bucket with two keys.
+
+A passing S2 is decided on one overlap plan of the maximal members.  Member
+V_l of a plan checks only the maximal opens among its nonempty overlaps
+V_i ∩ V_l, i < l; the smaller overlaps follow by functoriality.  A state
+holds one key per open W that is live: W enters at the first member
+containing it and leaves after the last member that checks it.  Each member
+has one table from its keys' restrictions to the checked overlaps onto its
+keys, with their restrictions to the opens entering there.  Counting walks
+the members breadth first over states (bucket elimination, Dechter 1999) and
+gives the number of distinct compatible families.  Every S1 bucket is one,
+since carriers are closed under restriction, so S2 passes iff the count is
+the number of buckets.  Otherwise the depth-first walk over the plan of the
+whole cover, in carrier order, finds the first family whose keys on the
+maximal members hit no bucket: the witness.  sheafify_sections lists the
+families with the same walk.  Section objects are built only for the S1/S2
+witnesses and for public output.  For infinite section sets (all ℚ-valued
+functions) the carrier samples a deterministic finite grid of rationals;
+within the sampled carrier the verdict is exact.
 
 glue_stalkwise is the one gluing routine, for every stalkwise object
 (section, vector, matrix, polynomial, form): it checks the overlaps and
@@ -77,6 +84,10 @@ def _identity(k):
     return k
 
 
+def _to_empty(k):
+    return 0
+
+
 def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
     """The tuple of the items at the given positions of a tuple."""
     if not positions:
@@ -95,7 +106,9 @@ class Presheaf:
     carrier section over U once, in carrier order.  `_restrictor(U, V)` maps
     a key over U to the key of its restriction to an open V ⊆ U, which must
     be in `_keys(V)`: S2 counts the compatible families and relies on each
-    S1 bucket being one.  `_section(k, U)` is the section the key k names.
+    S1 bucket being one.  `_keys(∅)` is one key, since check_completeness
+    drops an empty member beside a nonempty one.  `_section(k, U)` is the
+    section the key k names.
     """
 
     space: FiniteSpace
@@ -139,11 +152,13 @@ class FunctionPresheaf(Presheaf):
 
 
 class ConstantPresheaf(Presheaf):
-    """The constant presheaf P(U) = grid with identity restrictions.
+    """The constant presheaf P(U) = grid for U ≠ ∅, with identity
+    restrictions, and P(∅) one section, as for every presheaf here.
 
-    Not a sheaf: compatible families over disjoint covers need not glue, and
-    two constants agree vacuously over the empty cover of ∅.  `grid` holds
-    each value once, and a carrier key is a grid index.
+    Not a sheaf: compatible families over disjoint covers need not glue.
+    `grid` holds each value once, and a carrier key is a grid index.  The
+    one section over ∅ is key 0, written as the value grid[0], and every
+    restriction to ∅ goes to it.
     """
 
     def __init__(self, space: FiniteSpace, grid: Sequence[Fraction] = DEFAULT_GRID):
@@ -151,16 +166,16 @@ class ConstantPresheaf(Presheaf):
         self.grid = tuple(dict.fromkeys(Fraction(g) for g in grid))  # 1 and 2/2 once
 
     def sections(self, U: OpenSet) -> list[Fraction]:
-        return list(self.grid)
+        return list(self.grid) if U.mask else [self.grid[0]]
 
     def restrict(self, s, V: OpenSet):
-        return s
+        return s if V.mask else self.grid[0]
 
     def _keys(self, U: OpenSet) -> range:
-        return range(len(self.grid))
+        return range(len(self.grid) if U.mask else 1)
 
     def _restrictor(self, U: OpenSet, V: OpenSet) -> Callable:
-        return _identity
+        return _identity if V.mask else _to_empty
 
     def _section(self, k: int, U: OpenSet) -> Fraction:
         return self.grid[k]
@@ -252,28 +267,51 @@ def check_completeness(presheaf: Presheaf, U: OpenSet,
     """Decide S1 and S2 for the presheaf over U against the given cover."""
     cover = list(cover)
     require_open_cover(U, cover)
-    restrictors = [presheaf._restrictor(U, V) for V in cover]
+    kept = _maximal_members(cover)
+    members = [cover[i] for i in kept]
+    restrictors = [presheaf._restrictor(U, V) for V in members]
 
-    # S1: bucket the carrier keys by their tuple of restrictions.
-    buckets: dict[tuple, list] = {}
+    # S1: bucket the carrier keys by their tuple of restrictions to the
+    # maximal members, keeping the first two keys of each bucket (setdefault
+    # returns k itself when it opens the bucket).
+    first: dict[tuple, Any] = {}
+    second: dict[tuple, Any] = {}
     for k in presheaf._keys(U):
-        buckets.setdefault(tuple([r(k) for r in restrictors]), []).append(k)
+        restricted = tuple([r(k) for r in restrictors])
+        if first.setdefault(restricted, k) is not k:
+            second.setdefault(restricted, k)
     s1 = AxiomReport("S1", "pass")
-    for group in buckets.values():
-        if len(group) >= 2:
-            s1 = AxiomReport("S1", "fail", witness={"left": presheaf._section(group[0], U),
-                                                    "right": presheaf._section(group[1], U)})
-            break
+    if second:  # the witness is the first bucket, in insertion order, with two keys
+        clash = next(restricted for restricted in first if restricted in second)
+        s1 = AxiomReport("S1", "fail", witness={"left": presheaf._section(first[clash], U),
+                                                "right": presheaf._section(second[clash], U)})
 
     # S2: every bucket is a compatible family, so all of them glue iff there
     # are as many distinct families as buckets; else the first unglued
-    # family in carrier order is the witness.
-    plan = _overlap_plan(presheaf, cover)
-    unglued = (None if _count_families(plan) == len(buckets)
-               else next((keys for keys in _compatible_keys(plan) if keys not in buckets), None))
+    # family over the whole cover, in carrier order, is the witness.
+    unglued = None
+    if _count_families(_overlap_plan(presheaf, members)) != len(first):
+        pick = _tuple_getter(kept)
+        unglued = next((keys for keys in _compatible_keys(_overlap_plan(presheaf, cover))
+                        if pick(keys) not in first), None)
     s2 = (AxiomReport("S2", "fail", witness=_family(presheaf, cover, unglued))
           if unglued is not None else AxiomReport("S2", "pass"))
     return CompletenessReport(s1, s2)
+
+
+def _maximal_members(cover: Sequence[OpenSet]) -> list[int]:
+    """The positions, in cover order, of the members contained in no other
+    member, the first of equal members kept.  Restriction to a dropped
+    member factors through a kept one, and F(∅) is one section, so the
+    kept members have the S1 buckets, in the same order, and the compatible
+    families of the whole cover."""
+    masks = [V.mask for V in cover]
+    kept: list[int] = []
+    # a member inside another is inside a kept one met earlier: larger first
+    for i in sorted(range(len(masks)), key=lambda i: -masks[i].bit_count()):
+        if all(masks[i] & ~masks[j] for j in kept):
+            kept.append(i)
+    return sorted(kept)
 
 
 class _Step(NamedTuple):

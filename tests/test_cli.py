@@ -69,7 +69,7 @@ CASES = [
     ("sheaf-check", "cover_member_not_array", 2),
     ("sheaf-check", "function_duplicate_grid", 0),
     ("sheaf-check", "constant_duplicate_grid", 1),
-    ("sheaf-check", "constant_empty_cover", 1),
+    ("sheaf-check", "constant_empty_cover", 0),
     ("sheaf-check", "cover_missing", 2),
     ("wedge", "wedge_basic", 0),
     ("wedge", "wedge_mismatch", 1),

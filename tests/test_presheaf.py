@@ -34,7 +34,7 @@ from sympsheaf.errors import (
 )
 from sympsheaf import presheaf as presheaf_module
 from sympsheaf.presheaf import (_compatible_families, _compatible_keys, _count_families,
-                                _overlap_plan, sample_grid)
+                                _maximal_members, _overlap_plan, sample_grid)
 
 from oracles import check_completeness_sections
 
@@ -97,11 +97,14 @@ def test_single_member_cover_trivially_s1():
     assert report.s1.passed and report.s2.passed
 
 
-def test_constant_presheaf_not_separated_at_empty():
-    # two constants agree vacuously over the empty cover of ∅ yet differ
+def test_constant_presheaf_has_one_section_over_empty():
+    # P(∅) is one section, grid[0], so the empty cover of ∅ separates and glues
     sp = sierpinski()
-    report = check_completeness(ConstantPresheaf(sp, (F(1), F(2))), sp.empty, [])
-    assert not report.s1.passed
+    presheaf = ConstantPresheaf(sp, (F(1), F(2)))
+    assert presheaf.sections(sp.empty) == [F(1)]
+    assert presheaf.restrict(F(2), sp.empty) == F(1)
+    for cover in ([], [sp.empty], [sp.empty, sp.empty]):
+        assert check_completeness(presheaf, sp.empty, cover).passed, cover
 
 
 def test_function_sheaf_all_three_point_topologies():
@@ -170,6 +173,23 @@ KINDS = pytest.mark.parametrize("make", [FunctionPresheaf, ConstantPresheaf, ger
                                 ids=["functions", "constant", "germs"])
 
 
+@KINDS
+def test_a_cover_that_contains_the_open_glues(make):
+    # S2 holds on any cover with U as a member: the family's section over U
+    # restricts to the others.  On the Sierpiński space, [∅, {a}] covers {a}
+    # and glues, since the constant presheaf has one section over ∅.
+    for sp in [sierpinski(), *enumerate_topologies(["a", "b", "c"])]:
+        presheaf = make(sp, (F(1), F(2)))
+        for U in sp.all_opens():
+            for cover in covers_up_to_three(U):
+                if U in cover:
+                    assert check_completeness(presheaf, U, cover).s2.passed, (sp, U, cover)
+    sp = sierpinski()
+    report = check_completeness(make(sp, (F(1), F(2))), sp.open_set(["a"]),
+                                [sp.empty, sp.open_set(["a"])])
+    assert report.passed
+
+
 @GRIDS
 @KINDS
 def test_key_path_matches_section_oracle(make, grid):
@@ -186,17 +206,37 @@ def test_key_path_matches_section_oracle(make, grid):
     assert bool(failed) == (make is ConstantPresheaf)
 
 
+def s1_partition(presheaf, U, members):
+    """The carrier keys over U grouped by their restrictions to the members,
+    in the order S1 meets the groups."""
+    restrictors = [presheaf._restrictor(U, V) for V in members]
+    groups = {}
+    for k in presheaf._keys(U):
+        groups.setdefault(tuple(r(k) for r in restrictors), []).append(k)
+    return groups
+
+
 def assert_count_matches_enumeration(presheaf, U, cover):
     """The walk lists each family once, the count is the number it lists,
     and every S1 bucket is one of them: carriers are closed under
-    restriction."""
+    restriction.  The maximal members are inside no other member, the first
+    of equal members, and hold every member; they have the same count and
+    the same S1 partition, in the same order, as the whole cover."""
     plan = _overlap_plan(presheaf, cover)
     walk = list(_compatible_keys(plan))
     families = set(walk)
     assert len(walk) == len(families), (U, cover)
     assert _count_families(plan) == len(families), (U, cover)
-    restrictors = [presheaf._restrictor(U, V) for V in cover]
-    assert {tuple(r(k) for r in restrictors) for k in presheaf._keys(U)} <= families, (U, cover)
+    buckets = s1_partition(presheaf, U, cover)
+    assert set(buckets) <= families, (U, cover)
+    kept = _maximal_members(cover)
+    maximal = [cover[i] for i in kept]
+    assert [cover.index(V) for V in maximal] == kept == sorted(kept), (U, cover)
+    assert not any(V.is_subset(W) for V, W in permutations(maximal, 2)), (U, cover)
+    assert all(any(V.is_subset(W) for W in maximal) for V in cover), (U, cover)
+    assert _count_families(_overlap_plan(presheaf, maximal)) == len(families), (U, cover)
+    assert list(s1_partition(presheaf, U, maximal).values()) == list(buckets.values()), \
+        (U, cover)
 
 
 @GRIDS
@@ -207,6 +247,7 @@ def test_family_count_matches_enumeration_on_three_points(make, grid):
         for U in sp.all_opens():
             for cover in covers_up_to_three(U):
                 assert_count_matches_enumeration(presheaf, U, cover)
+                assert_count_matches_enumeration(presheaf, U, cover + cover[:1])  # repeated
 
 
 @pytest.mark.parametrize("make", [FunctionPresheaf, ConstantPresheaf],

@@ -1,5 +1,8 @@
 """Finite spaces: validation, minimal neighborhoods, covers, enumeration."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from sympsheaf import (
@@ -20,6 +23,7 @@ from sympsheaf.errors import (
     UnknownPoint,
 )
 from sympsheaf.jsonio import space_from_json, space_to_json
+from sympsheaf.site import _is_topology
 
 
 def test_sierpinski_valid():
@@ -132,3 +136,50 @@ def test_space_json_roundtrip():
 def test_validation_order_insensitive():
     sp = validate_topology(["a", "b"], [["b", "a"], ["a"], []])
     assert sp == validate_topology(["a", "b"], [[], ["a"], ["a", "b"]])
+
+
+def first_unclosed_pair(masks):
+    """The pairwise scan: the first pair, in sorted order, whose union or
+    intersection is not in the family, with the error it raises; None when
+    the family is closed under both."""
+    for a, b in combinations(sorted(masks), 2):
+        if a | b not in masks:
+            return NotClosedUnderUnion, (a, b)
+        if a & b not in masks:
+            return NotClosedUnderIntersection, (a, b)
+    return None
+
+
+def families_with_empty_and_whole():
+    """Every such family on 3 points; on 4 points, seeded random families of
+    three densities and every topology with one proper open removed."""
+    for choice in range(1 << 6):
+        yield 3, {0, 7} | {m for m in range(1, 7) if choice >> (m - 1) & 1}
+    rng = random.Random(27)
+    for density in (0.2, 0.5, 0.8):
+        for _ in range(200):
+            yield 4, {0, 15} | {m for m in range(1, 15) if rng.random() < density}
+    for sp in enumerate_topologies(["a", "b", "c", "d"]):
+        yield 4, set(sp.opens)
+        for m in sp.opens - {0, 15}:
+            yield 4, set(sp.opens) - {m}
+
+
+def test_linear_topology_test_matches_the_pairwise_scan():
+    verdicts = set()
+    for n, masks in families_with_empty_and_whole():
+        points = "abcd"[:n]
+        labels = discrete(points).labels_of
+        first = first_unclosed_pair(masks)
+        assert _is_topology(masks, n) == (first is None), masks
+        verdicts.add(first is None)
+        opens = [labels(m) for m in masks]
+        if first is None:
+            assert validate_topology(points, opens).opens == masks
+        else:
+            error, (a, b) = first
+            with pytest.raises(error) as err:
+                validate_topology(points, opens)
+            assert type(err.value) is error
+            assert err.value.witness == (labels(a), labels(b))
+    assert verdicts == {True, False}
