@@ -42,8 +42,8 @@ _EXPORTS = {
     "symplectic": (
         "DarbouxBasis", "FormReport", "SymplecticMap", "block_normal_form", "check_form",
         "darboux_basis", "form_pairing", "gram_two_form", "hyperbolic_sum_form",
-        "is_symplectic_map", "orientation_form", "random_symplectic", "skew_normal_form",
-        "standard_J", "standard_sum_decomposition", "standard_two_form",
+        "is_symplectic_map", "orientation_form", "random_symplectic", "rank_normal_form",
+        "skew_normal_form", "standard_J", "standard_sum_decomposition", "standard_two_form",
         "symplectic_transvection",
     ),
 }

@@ -37,11 +37,9 @@ def _load_problem(path: str, command: str):
 def _run_darboux(U, seed, form):
     from .symplectic import darboux_basis
     basis = darboux_basis(form)
-    result = {
-        "m": basis.m,
-        "basis": [jsonio.vector_to_json(v) for v in basis.s + basis.t],
-        "change_of_basis": jsonio.matrix_to_json(basis.change_of_basis),
-    }
+    change = jsonio.matrix_to_json(basis.change_of_basis)
+    # the basis is P's columns: s₁..s_m, t₁..t_m
+    result = {"m": basis.m, "basis": [list(c) for c in zip(*change)], "change_of_basis": change}
     certificate = {"gram": jsonio.matrix_to_json(basis.gram)}
     return 0, "ok", result, certificate
 

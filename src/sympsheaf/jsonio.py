@@ -283,6 +283,14 @@ def _array_of(read: Callable) -> Callable:
                                   for i, x in enumerate(_checked(obj, field, list))]
 
 
+def _grid_from_json(U: OpenSet, obj: Any, field: str) -> list[Fraction]:
+    """A sampled grid: a nonempty array of rationals."""
+    grid = _array_of(lambda U, x, field: fraction_from_json(x, field))(U, obj, field)
+    if not grid:
+        raise MalformedInput(f"{field}: empty; a grid needs at least one value")
+    return grid
+
+
 def _presheaf_from_json(U: OpenSet, obj: Any, field: str) -> type:
     """The presheaf class that a kind names, "functions" when none is given."""
     kind = "functions" if obj is _MISSING else obj
@@ -300,7 +308,7 @@ _INPUTS: dict[str, dict[str, Callable[[OpenSet, Any, str], Any]]] = {
     "charpoly": {"matrix": matrix_from_json},
     "eigen": {"matrix": matrix_from_json},
     "sheaf-check": {
-        "grid": _optional(_array_of(lambda U, x, field: fraction_from_json(x, field))),
+        "grid": _optional(_grid_from_json),
         "presheaf": _presheaf_from_json,
         "cover": _array_of(lambda U, x, field: open_from_json(U.space, x, field))},
     "wedge": {"xi": kform_from_json, "eta": kform_from_json},

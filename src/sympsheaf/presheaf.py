@@ -120,6 +120,15 @@ class Presheaf:
         return s.restrict(V)
 
 
+def _distinct(grid: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The grid's values, each once, in first-occurrence order (1 and 2/2
+    once); ValueError when it has none."""
+    values = tuple(dict.fromkeys(map(Fraction, grid)))
+    if not values:
+        raise ValueError("a grid needs at least one value")
+    return values
+
+
 class FunctionPresheaf(Presheaf):
     """The structure sheaf A: all functions U → grid (a sampled slice of ℚ^U).
 
@@ -131,7 +140,7 @@ class FunctionPresheaf(Presheaf):
 
     def __init__(self, space: FiniteSpace, grid: Sequence[Fraction] = DEFAULT_GRID):
         self.space = space
-        self.grid = tuple(dict.fromkeys(Fraction(g) for g in grid))  # 1 and 2/2 once
+        self.grid = _distinct(grid)
 
     def sections(self, U: OpenSet) -> list[StructureSection]:
         return [self._section(k, U) for k in self._keys(U)]
@@ -163,7 +172,7 @@ class ConstantPresheaf(Presheaf):
 
     def __init__(self, space: FiniteSpace, grid: Sequence[Fraction] = DEFAULT_GRID):
         self.space = space
-        self.grid = tuple(dict.fromkeys(Fraction(g) for g in grid))  # 1 and 2/2 once
+        self.grid = _distinct(grid)
 
     def sections(self, U: OpenSet) -> list[Fraction]:
         return list(self.grid) if U.mask else [self.grid[0]]

@@ -11,14 +11,14 @@ orthogonal complement via
 
 and recurse), on ints: it reduces the integer Gram matrix D·Ω over the
 common denominator D of the stalk, which scales every t by 1/D and leaves
-the split unchanged, and multiplies the t columns by D at the end.  The m
-pairs it splits off at a point give the pointwise rank 2m, from which
-darboux_basis and skew_normal_form decide degeneracy and constant rank.
-The per-point changes of basis are glued into one section matrix P.  This
-is legitimate because A(U) = ∏_{x∈U} ℚ: the structure sheaf glues
-arbitrary pointwise data, so a normal form found at every stalk is a normal
-form over U.  The identity ᵗPΩP = J (or the block form) is then checked
-exactly in section arithmetic.
+the split unchanged, and multiplies the t columns by D at the end.
+rank_normal_form glues the per-point changes of basis into one section
+matrix P and the per-point pair counts into one section m.  This is
+legitimate because A(U) = ∏_{x∈U} ℚ: the structure sheaf glues arbitrary
+pointwise data, so a normal form found at every stalk is a normal form over
+U, of rank 2m(x) at x, with no constant-rank hypothesis.  It checks ᵗPΩP
+exactly against the rank-2m(x) block form at every point x; darboux_basis
+and skew_normal_form are that reduction plus a check on m.
 """
 
 from __future__ import annotations
@@ -59,10 +59,15 @@ def standard_J(domain: OpenSet, m: int) -> SectionMatrix:
 
 def block_normal_form(domain: OpenSet, m: int, n: int) -> SectionMatrix:
     """The rank-2m degenerate normal form [[0,I_m,0],[−I_m,0,0],[0,0,0]] of size n."""
+    return SectionMatrix.from_stalks(domain, n, n, [_block_stalk(m, n)] * domain.size)
+
+
+def _block_stalk(m: int, n: int) -> qlinalg.QMatrix:
+    """block_normal_form over ℚ: one point's stalk."""
     stalk = [[ZERO] * n for _ in range(n)]
     for i in range(m):
         stalk[i][m + i], stalk[m + i][i] = ONE, -ONE
-    return SectionMatrix.from_stalks(domain, n, n, [stalk] * domain.size)
+    return stalk
 
 
 def gram_two_form(omega: SectionMatrix) -> KForm:
@@ -131,10 +136,28 @@ def form_pairing(omega: SectionMatrix, u: SectionVector, v: SectionVector) -> St
 # -- the constructive reduction -------------------------------------------------------
 
 
+def rank_normal_form(omega: SectionMatrix) -> tuple[StructureSection, SectionMatrix]:
+    """The normal form of any skew form Ω: (m, P), with m the section of
+    per-point pair counts (the pointwise rank is 2m) and ᵗPΩP checked to be
+    the rank-2m(x) block form at each point x, so its block coefficients are
+    idempotent sections.  NotSquare or NotSkewSymmetric when Ω is not skew.
+    At each point P's columns are s₁..s_m, t₁..t_m, then kernel vectors.
+    On U = ∅ m is the empty section."""
+    if not _is_skew(omega):
+        raise NotSkewSymmetric("form matrix is not skew-symmetric")
+    n = omega.rows
+    reduced = [qlinalg.symplectic_reduce(s) for s in omega.stalks]
+    for s, (m, C) in zip(omega.stalks, reduced):
+        if qlinalg.mat_mul(qlinalg.mat_mul(list(zip(*C)), s), C) != _block_stalk(m, n):
+            raise AssertionError("certificate ᵗPΩP failed; arithmetic bug")
+    return (StructureSection(omega.domain, [m for m, _ in reduced]),
+            SectionMatrix.from_stalks(omega.domain, n, n, (C for _, C in reduced)))
+
+
 class DarbouxBasis(NamedTuple):
-    """A certified symplectic basis s₁..s_m, t₁..t_m (plus kernel vectors in
-    the degenerate case).  P has the basis as columns and gram = ᵗPΩP is the
-    certificate."""
+    """A certified symplectic basis s₁..s_m, t₁..t_m of a nondegenerate
+    form; `kernel` is always empty.  P has the basis as columns and
+    gram = ᵗPΩP = J is the certificate."""
 
     s: tuple[SectionVector, ...]
     t: tuple[SectionVector, ...]
@@ -148,62 +171,36 @@ class DarbouxBasis(NamedTuple):
 
 
 def darboux_basis(omega: SectionMatrix) -> DarbouxBasis:
-    """Symplectic basis of a nondegenerate skew form: ᵗPΩP = J exactly."""
-    ms, P = _stalkwise_reduce(omega)
+    """Symplectic basis of a nondegenerate skew form, ᵗPΩP = J exactly:
+    rank_normal_form with the check that m = n/2 everywhere."""
+    ms, P = rank_normal_form(omega)
     n = omega.rows
     if n % 2:
         raise Degenerate("odd rank cannot carry a nondegenerate skew form",
                          points=omega.domain.labels)
-    bad = tuple(p for p, m in zip(omega.domain.labels, ms) if 2 * m < n)
+    bad = tuple(p for p, m in zip(omega.domain.labels, ms.stalks) if 2 * m < n)
     if bad:
         raise Degenerate("form is degenerate; use skew_normal_form", points=bad)
     m = n // 2
-    gram = _certified(omega, m, P)
     columns = P.columns()
-    return DarbouxBasis(tuple(columns[:m]), tuple(columns[m:]), (), P, gram)
+    return DarbouxBasis(tuple(columns[:m]), tuple(columns[m:]), (), P,
+                        standard_J(omega.domain, m))
 
 
 def skew_normal_form(omega: SectionMatrix) -> tuple[int, SectionMatrix]:
-    """Degenerate normal form: returns (m, P) with ᵗPΩP the three-block form.
+    """Normal form of constant rank: (m, P) with ᵗPΩP the three-block form.
 
-    Requires constant pointwise rank over the open set; otherwise
-    NonConstantRank reports the offending points (restrict and retry there,
-    mirroring the local statement of the theorem).
+    rank_normal_form with the check that m is constant; otherwise
+    NonConstantRank names the points whose m is not the first point's
+    (restrict and retry there, mirroring the local statement of the
+    theorem).  On U = ∅ m is ⌊n/2⌋.
     """
-    ms, P = _stalkwise_reduce(omega)
-    m = ms[0] if ms else omega.rows // 2
-    bad = tuple(p for p, k in zip(omega.domain.labels, ms) if k != m)
+    ms, P = rank_normal_form(omega)
+    m = int(ms.stalks[0]) if ms.stalks else omega.rows // 2
+    bad = tuple(p for p, k in zip(omega.domain.labels, ms.stalks) if k != m)
     if bad:
         raise NonConstantRank("pointwise rank is not constant", points=bad)
-    _certified(omega, m, P)
     return m, P
-
-
-def _stalkwise_reduce(omega: SectionMatrix) -> tuple[list[int], SectionMatrix]:
-    """Reduce a skew form Ω on each ℚ stalk and glue the changes of basis:
-    returns the per-point m's, the pointwise rank being 2m, and P.
-
-    NotSquare or NotSkewSymmetric when Ω is not a skew form.  The columns of
-    P are s₁..s_m, t₁..t_m, then the kernel vectors, each point with its own
-    m: only where every point has the same m is ᵗPΩP a normal form, which
-    the callers check from the m's before they certify it.  On U = ∅ there
-    is no stalk and every section equation holds vacuously; the callers then
-    take m to be ⌊n/2⌋.
-    """
-    if not _is_skew(omega):
-        raise NotSkewSymmetric("form matrix is not skew-symmetric")
-    reduced = [qlinalg.symplectic_reduce(s) for s in omega.stalks]
-    return [m for m, _ in reduced], SectionMatrix.from_stalks(
-        omega.domain, omega.rows, omega.rows, (C for _, C in reduced))
-
-
-def _certified(omega: SectionMatrix, m: int, P: SectionMatrix) -> SectionMatrix:
-    """The certificate ᵗPΩP, checked to equal the rank-2m block form of size
-    n (the standard J when 2m = n)."""
-    gram = P.transpose() @ omega @ P
-    if gram != block_normal_form(omega.domain, m, omega.rows):
-        raise AssertionError("certificate ᵗPΩP failed; arithmetic bug")
-    return gram
 
 
 def standard_sum_decomposition(basis: DarbouxBasis) -> KForm:

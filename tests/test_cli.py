@@ -65,6 +65,7 @@ CASES = [
     ("sheaf-check", "presheaf_kind_unknown", 2),
     ("sheaf-check", "grid_not_rational", 2),
     ("sheaf-check", "grid_not_array", 2),
+    ("sheaf-check", "grid_empty", 2),
     ("sheaf-check", "cover_not_array", 2),
     ("sheaf-check", "cover_member_not_array", 2),
     ("sheaf-check", "function_duplicate_grid", 0),

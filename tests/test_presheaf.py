@@ -36,7 +36,7 @@ from sympsheaf import presheaf as presheaf_module
 from sympsheaf.presheaf import (_compatible_families, _compatible_keys, _count_families,
                                 _maximal_members, _overlap_plan, sample_grid)
 
-from oracles import check_completeness_sections
+from oracles import check_completeness_sections, compatible_families_sections
 
 
 def three_point_site():
@@ -107,6 +107,13 @@ def test_constant_presheaf_has_one_section_over_empty():
         assert check_completeness(presheaf, sp.empty, cover).passed, cover
 
 
+@pytest.mark.parametrize("kind", [FunctionPresheaf, ConstantPresheaf])
+def test_an_empty_grid_is_rejected(kind):
+    # with no value the constant presheaf could not write its section over ∅
+    with pytest.raises(ValueError, match="at least one value"):
+        kind(sierpinski(), [])
+
+
 def test_function_sheaf_all_three_point_topologies():
     for sp in enumerate_topologies(["a", "b", "c"]):
         presheaf = FunctionPresheaf(sp, (F(0), F(1)))
@@ -117,11 +124,13 @@ def test_function_sheaf_all_three_point_topologies():
 
 
 def brute_force_families(presheaf, cover):
-    """Every choice of one carrier section per member, in product order,
-    kept when the choices agree on each nonempty overlap."""
+    """The equalizer of ∏ F(V_i) ⇉ ∏ F(V_i ∩ V_j): every choice of one
+    carrier section per member, in product order, kept when each pair of
+    members restricts to the same section over its overlap, an empty
+    overlap included."""
     carriers = [presheaf.sections(V) for V in cover]
     overlaps = [(i, j, cover[i].intersection(cover[j]))
-                for j in range(len(cover)) for i in range(j) if cover[i].mask & cover[j].mask]
+                for j in range(len(cover)) for i in range(j)]
     keys = {(m, o): [presheaf.restrict(s, o) for s in carriers[m]]
             for i, j, o in overlaps for m in (i, j)}
     return [tuple(c[k] for c, k in zip(carriers, choice))
@@ -140,7 +149,9 @@ def covers_up_to_three(U):
                          ids=["grid2", "grid3", "repeated"])
 @pytest.mark.parametrize("kind", [FunctionPresheaf, ConstantPresheaf])
 def test_compatible_families_match_brute_force_in_order(kind, grid):
-    # pins the enumeration order, hence the S2 witnesses sheaf-check prints
+    # pins the enumeration order, hence the S2 witnesses sheaf-check prints;
+    # the key path and the section oracle skip empty overlaps, which the
+    # equalizer checks, and covers_up_to_three has covers with ∅ members
     for sp in enumerate_topologies(["a", "b", "c"]):
         presheaf = kind(sp, grid)
         for U in sp.all_opens():
@@ -149,6 +160,8 @@ def test_compatible_families_match_brute_force_in_order(kind, grid):
                 families = list(_compatible_families(presheaf, cover))
                 expected = brute_force_families(presheaf, cover)
                 assert [f.sections for f in families] == expected, (sp, U, cover)
+                assert [f.sections for f in compatible_families_sections(presheaf, cover)] \
+                    == expected, (sp, U, cover)
                 assert all(f.cover == tuple(cover) for f in families)
                 glued = {tuple(presheaf.restrict(s, V) for V in cover) for s in carrier}
                 unglued = [f for f in expected if f not in glued]

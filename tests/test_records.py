@@ -183,11 +183,11 @@ EXPORTED = {
     "enumerate_topologies", "evaluate_form", "form_pairing", "form_power", "glue_stalkwise",
     "gram_two_form", "hyperbolic_sum_form", "is_open_cover", "is_symplectic_map",
     "kronecker_product", "linear_independence", "minimal_cover", "minimal_open_neighborhood",
-    "orientation_form", "point_space", "poly_apply", "random_symplectic", "rational_roots",
-    "rational_try_sqrt", "reciprocal_spectrum_check", "sample_grid", "sheafify_sections",
-    "sierpinski", "skew_normal_form", "stalk_at", "standard_J", "standard_sum_decomposition",
-    "standard_two_form", "symplectic_transvection", "tensor_product", "try_inverse_matrix",
-    "validate_topology", "volume_element", "wedge",
+    "orientation_form", "point_space", "poly_apply", "random_symplectic", "rank_normal_form",
+    "rational_roots", "rational_try_sqrt", "reciprocal_spectrum_check", "sample_grid",
+    "sheafify_sections", "sierpinski", "skew_normal_form", "stalk_at", "standard_J",
+    "standard_sum_decomposition", "standard_two_form", "symplectic_transvection",
+    "tensor_product", "try_inverse_matrix", "validate_topology", "volume_element", "wedge",
 }
 
 

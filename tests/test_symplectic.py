@@ -3,8 +3,10 @@ degenerate normal forms, symplectomorphisms, the group sheaf."""
 
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sympsheaf import (
     GermSampledPresheaf,
@@ -29,6 +31,7 @@ from sympsheaf import (
     orientation_form,
     point_space,
     random_symplectic,
+    rank_normal_form,
     sierpinski,
     skew_normal_form,
     standard_J,
@@ -44,7 +47,7 @@ from sympsheaf.errors import (
     NotSkewSymmetric,
     NotSymplectic,
 )
-from sympsheaf import qlinalg
+from sympsheaf import jsonio, qlinalg
 
 from oracles import (
     congruence,
@@ -362,6 +365,95 @@ def test_reduction_verdicts_match_check_form():
                     skew_normal_form(omega)
                 first = ranks[U.labels[0]]
                 assert err.value.points == tuple(p for p, r in ranks.items() if r != first)
+
+
+# -- rank_normal_form: the normal form of every skew form -------------------------------
+
+
+def assert_rank_normal_form(omega):
+    """At each point x, ᵗPΩP is the rank-2m(x) block form (rechecked by the
+    congruence oracle), P is invertible, and 2m(x) is the rank of Ω there."""
+    m, P = rank_normal_form(omega)
+    U, n = omega.domain, omega.rows
+    assert m.domain == U and P.shape == (n, n)
+    assert determinant(P).is_unit()
+    ranks = check_form(omega).ranks
+    for p in U.labels:
+        k = m.at(p)
+        assert k.denominator == 1 and 2 * k == qlinalg.rank(omega.at_point(p)) == ranks[p]
+        assert congruence(P.at_point(p), omega.at_point(p)) \
+            == block_normal_form(PT, int(k), n).at_point("x")
+    return m, P
+
+
+POINTS = ["a", "b", "c", "d"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 4), n=st.integers(0, 8))
+def test_rank_normal_form_certifies_forms_of_any_rank_per_point(seed, size, n):
+    omega = _rand_skew_per_point_rank(random.Random(seed), discrete(POINTS[:size]).whole, n)
+    assert_rank_normal_form(omega)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 4),
+       dense=st.sampled_from([0, 2, 4]), moving=st.integers(3, 5), m_moving=st.integers(1, 2))
+def test_rank_normal_form_certifies_forms_with_no_unit_pairing(seed, size, dense, moving,
+                                                               m_moving):
+    omega = rand_skew_mixed(random.Random(seed), discrete(POINTS[:size]).whole, dense,
+                            moving, min(m_moving, moving // 2))
+    m, _ = assert_rank_normal_form(omega)
+    assert m == dense // 2 + min(m_moving, moving // 2)
+
+
+def test_rank_normal_form_commutes_with_restriction():
+    rng = random.Random(21)
+    for sp in (sierpinski(), discrete(["a", "b", "c"])):
+        for _ in range(5):
+            omega = _rand_skew_per_point_rank(rng, sp.whole, rng.randint(0, 6))
+            m, P = rank_normal_form(omega)
+            for V in sp.all_opens():
+                assert rank_normal_form(omega.restrict(V)) == (m.restrict(V), P.restrict(V))
+
+
+def test_rank_normal_form_on_empty_open_set_is_the_empty_section():
+    E = sierpinski().empty
+    for n in (0, 1, 4, 5):
+        m, P = rank_normal_form(SectionMatrix.zeros(E, n, n))
+        assert m == StructureSection(E, []) and m.stalks == ()
+        assert P.shape == (n, n) and P.stalks == ()
+
+
+def test_rank_normal_form_of_non_constant_rank_has_idempotent_blocks():
+    data = (Path(__file__).parent / "data" / "form_nonconstant_rank.json").read_bytes()
+    U, inputs = jsonio.problem_from_json(data, "normal-form")
+    omega = inputs["form"]
+    m, P = rank_normal_form(omega)
+    assert m.as_mapping() == {"a": 1, "b": 0}
+    e = StructureSection.from_mapping(U, {"a": 1, "b": 0})
+    zero = StructureSection.zero(U)
+    assert P.transpose() @ omega @ P == SectionMatrix(U, [[zero, e], [-e, zero]])
+
+
+@pytest.mark.parametrize("reduce", [rank_normal_form, darboux_basis, skew_normal_form],
+                         ids=["rank_normal_form", "darboux_basis", "skew_normal_form"])
+def test_a_wrong_stalk_reduction_fails_the_certificate(monkeypatch, reduce):
+    omega = rand_skew_nondegenerate(random.Random(22), sierpinski().whole, 4)
+    assert_rank_normal_form(omega)
+    original, calls = qlinalg.symplectic_reduce, []
+
+    def wrong_at_b(gram):  # the second point, b: the first column doubled
+        m, C = original(gram)
+        calls.append(m)
+        if len(calls) % 2 == 0:
+            C = [[2 * row[0], *row[1:]] for row in C]
+        return m, C
+
+    monkeypatch.setattr(qlinalg, "symplectic_reduce", wrong_at_b)
+    with pytest.raises(AssertionError, match="certificate"):
+        reduce(omega)
+    assert len(calls) == 2
 
 
 def test_rand_skew_mixed_rejects_impossible_patterns_at_once():
