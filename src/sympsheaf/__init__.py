@@ -20,20 +20,18 @@ _EXPORTS = {
         "poly_apply", "rational_roots", "reciprocal_spectrum_check",
     ),
     "exterior": (
-        "CovariantTensor", "GradedForm", "KForm", "alternation", "evaluate_form",
-        "form_power", "tensor_product", "volume_element", "wedge",
+        "CovariantTensor", "KForm", "alternation", "form_power", "tensor_product", "wedge",
     ),
     "modules": (
-        "IndependenceReport", "SectionMatrix", "SectionVector", "determinant",
-        "determinant_adjugate", "kronecker_product", "linear_independence",
+        "SectionMatrix", "SectionVector", "determinant", "determinant_adjugate",
         "try_inverse_matrix",
     ),
     "presheaf": (
         "CompatibleFamily", "CompletenessReport", "ConstantPresheaf", "FunctionPresheaf",
         "GermSampledPresheaf", "check_completeness", "glue_stalkwise", "sample_grid",
-        "sheafify_sections", "stalk_at",
+        "sheafify_sections",
     ),
-    "sections": ("StructureSection", "as_section", "rational_try_sqrt"),
+    "sections": ("StructureSection", "as_section"),
     "site": (
         "FiniteSpace", "OpenSet", "discrete", "enumerate_topologies", "is_open_cover",
         "minimal_cover", "minimal_open_neighborhood", "point_space", "sierpinski",
@@ -41,10 +39,9 @@ _EXPORTS = {
     ),
     "symplectic": (
         "DarbouxBasis", "FormReport", "SymplecticMap", "block_normal_form", "check_form",
-        "darboux_basis", "form_pairing", "gram_two_form", "hyperbolic_sum_form",
-        "is_symplectic_map", "orientation_form", "random_symplectic", "rank_normal_form",
-        "skew_normal_form", "standard_J", "standard_sum_decomposition", "standard_two_form",
-        "symplectic_transvection",
+        "darboux_basis", "gram_two_form", "is_symplectic_map", "orientation_form",
+        "random_symplectic", "rank_normal_form", "skew_normal_form", "standard_J",
+        "standard_two_form", "symplectic_transvection",
     ),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -23,14 +23,6 @@ class MalformedInput(ValueError):
     field at fault.  Not an AlgebraError: the CLI exits with code 2."""
 
 
-class NegativeInput(AlgebraError):
-    pass
-
-
-class NotExact(AlgebraError):
-    """An exact result (square root, volume scale) does not exist in the rationals."""
-
-
 # -- site ------------------------------------------------------------------
 
 class TopologyError(AlgebraError):
@@ -108,10 +100,6 @@ class DegreeOverflow(AlgebraError):
 
 
 class ArityMismatch(AlgebraError):
-    pass
-
-
-class DegenerateMetric(AlgebraError):
     pass
 
 

@@ -24,14 +24,12 @@ from typing import Iterable, Mapping, Sequence, Union
 from . import qlinalg
 from .errors import (
     ArityMismatch,
-    DegenerateMetric,
     DegreeOverflow,
     DegreeTooLarge,
     DimensionMismatch,
     DomainMismatch,
-    NonUnitDeterminant,
 )
-from .modules import SectionMatrix, SectionVector, determinant
+from .modules import SectionVector
 from .sections import Scalar, StructureSection, _Stalkwise, as_section
 from .site import OpenSet
 
@@ -228,7 +226,12 @@ class KForm(_Multilinear):
         return wedge(self, other)
 
     def evaluate(self, args: Sequence[SectionVector]) -> StructureSection:
-        return evaluate_form(self, args)
+        """At each point, Σ_I c_I·det of the k×k minor of the arguments on the
+        columns I.  For a wedge of one-forms this is exactly det[αᵢ(sⱼ)]."""
+        return StructureSection(self.domain, [
+            sum((c * qlinalg.det_bareiss([[v[i] for i in idx] for v in vs]) for idx, c in stalk),
+                ZERO)
+            for stalk, *vs in self._with_args(args)])
 
     def __repr__(self):
         coeffs = self.coeffs
@@ -285,47 +288,6 @@ def wedge(xi: KForm, eta: KForm) -> KForm:
                              map(product, xi.stalks, eta.stalks))
 
 
-def evaluate_form(form: KForm, args: Sequence[SectionVector]) -> StructureSection:
-    """Evaluate on section vectors: at each point, Σ_I c_I·det of the k×k
-    minor of the arguments on the columns I.
-
-    For a wedge of one-forms this is exactly det[αᵢ(sⱼ)].
-    """
-    return StructureSection(form.domain, [
-        sum((c * qlinalg.det_bareiss([[v[i] for i in idx] for v in vs]) for idx, c in stalk),
-            ZERO)
-        for stalk, *vs in form._with_args(args)])
-
-
-def volume_element(metric: SectionMatrix, basis: Sequence[SectionVector]) -> KForm:
-    """Volume element √|det ρ(sᵢ,sⱼ)|·s₁*∧…∧s_n* of a metric and basis.
-
-    NotExact when the scaling square root is irrational; DegenerateMetric
-    when the metric Gram determinant vanishes somewhere.
-    """
-    n = metric.rows
-    if not metric.is_square():
-        raise DimensionMismatch("metric must be square")
-    if metric != metric.transpose():
-        raise ValueError("metric is not symmetric")
-    if len(basis) != n:
-        raise DimensionMismatch(f"need {n} basis vectors, got {len(basis)}")
-    S = SectionMatrix.from_columns(list(basis))
-    det_s = determinant(S)
-    if not det_s.is_unit():
-        raise NonUnitDeterminant("the given vectors are not a basis",
-                                 points=det_s.zero_points())
-    gram = S.transpose() @ metric @ S
-    det_g = determinant(gram)
-    if not det_g.is_unit():
-        raise DegenerateMetric("metric Gram determinant vanishes",
-                               points=det_g.zero_points())
-    root = abs(det_g).try_sqrt()
-    top = tuple(range(n))
-    return KForm.from_stalks(metric.domain, n, n,
-                             ({top: r / d} for r, d in zip(root.stalks, det_s.stalks)))
-
-
 def form_power(omega: KForm, m: int) -> KForm:
     """The m-fold wedge power of a 2-form."""
     if omega.degree != 2:
@@ -336,62 +298,3 @@ def form_power(omega: KForm, m: int) -> KForm:
     for _ in range(m):
         out = wedge(out, omega)
     return out
-
-
-class GradedForm:
-    """An element of the Grassmann algebra Ω* = Ω⁰⊕…⊕Ωⁿ: at most one
-    component per degree."""
-
-    __slots__ = ("domain", "rank", "components")
-    domain: OpenSet
-    rank: int
-    components: tuple[KForm, ...]  # nonzero, strictly increasing degrees
-
-    def __init__(self, domain: OpenSet, rank: int, components: tuple[KForm, ...]):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "components", components)
-
-    def __eq__(self, other):
-        if other.__class__ is not GradedForm:
-            return NotImplemented
-        return (self.rank == other.rank and self.domain == other.domain
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash((self.domain, self.rank, self.components))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __repr__(self):
-        return (f"GradedForm(domain={self.domain!r}, rank={self.rank!r}, "
-                f"components={self.components!r})")
-
-    @classmethod
-    def from_forms(cls, domain: OpenSet, rank: int, forms: Iterable[KForm]) -> "GradedForm":
-        by_degree: dict[int, KForm] = {}
-        for f in forms:
-            if f.domain != domain or f.rank != rank:
-                raise DomainMismatch("component on a different module")
-            if f.degree in by_degree:
-                by_degree[f.degree] = by_degree[f.degree] + f
-            else:
-                by_degree[f.degree] = f
-        comps = tuple(by_degree[d] for d in sorted(by_degree) if not by_degree[d].is_zero())
-        return cls(domain, rank, comps)
-
-    def component(self, degree: int) -> KForm:
-        for f in self.components:
-            if f.degree == degree:
-                return f
-        return KForm.zero(self.domain, self.rank, degree)
-
-    def __add__(self, other: "GradedForm") -> "GradedForm":
-        return GradedForm.from_forms(self.domain, self.rank,
-                                     self.components + other.components)
-
-    def wedge(self, other: "GradedForm") -> "GradedForm":
-        parts = [wedge(a, b) for a in self.components for b in other.components
-                 if a.degree + b.degree <= self.rank]
-        return GradedForm.from_forms(self.domain, self.rank, parts)

@@ -78,11 +78,6 @@ def _past_digit_limit(field: str) -> MalformedInput:
                           "past the input digit limit")
 
 
-def space_to_json(space: FiniteSpace) -> dict:
-    return {"points": list(space.points),
-            "opens": [list(space.labels_of(m)) for m in sorted(space.opens)]}
-
-
 def space_from_json(obj: Any) -> FiniteSpace:
     _checked(obj, "space", dict)
     points, opens = (_checked(obj.get(key, _MISSING), f"space.{key}", list)

@@ -15,7 +15,7 @@ StructureSection entries are built only when a caller reads them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from . import qlinalg
 from .errors import DimensionMismatch, DomainMismatch, NonUnitDeterminant, NotSquare
@@ -234,39 +234,3 @@ def try_inverse_matrix(a: SectionMatrix) -> SectionMatrix:
         raise NonUnitDeterminant("determinant vanishes at some points",
                                  points=det.zero_points())
     return adj.scale(det.inverse())
-
-
-def kronecker_product(a: SectionMatrix, b: SectionMatrix) -> SectionMatrix:
-    """Block Kronecker product; realizes the tensor product on the product basis."""
-    if a.domain != b.domain:
-        raise DomainMismatch("Kronecker factors over different open sets")
-    return SectionMatrix.from_stalks(
-        a.domain, a.rows * b.rows, a.cols * b.cols,
-        ([[x * y for x in ra for y in rb] for ra in sa for rb in sb]
-         for sa, sb in zip(a.stalks, b.stalks)))
-
-
-class IndependenceReport(NamedTuple):
-    independent: bool
-    witness_point: Optional[str] = None
-    relation: Optional[tuple[Fraction, ...]] = None
-
-
-def linear_independence(vectors: Sequence[SectionVector]) -> IndependenceReport:
-    """Decide A(U)-linear independence of section vectors.
-
-    Over the function ring this holds iff the value vectors are
-    ℚ-independent at every point; otherwise some point carries a nontrivial
-    rational relation, which (extended by zero) is a nontrivial section
-    relation.  The witness is the first such point with its relation.
-    """
-    if not vectors:
-        return IndependenceReport(True)
-    domain = vectors[0].domain
-    for v in vectors[1:]:
-        vectors[0]._check(v)
-    for p, *stalks in zip(domain.labels, *(v.stalks for v in vectors)):
-        kernel = qlinalg.kernel_basis(list(zip(*stalks)))  # the vectors as columns
-        if kernel:
-            return IndependenceReport(False, witness_point=p, relation=tuple(kernel[0]))
-    return IndependenceReport(True)

@@ -56,8 +56,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, IncompatibleFamily, NonEnumerableSections
 from .sections import StructureSection, _Stalkwise
-from .site import (FiniteSpace, OpenSet, _gather, minimal_cover, minimal_open_neighborhood,
-                   require_open_cover)
+from .site import FiniteSpace, OpenSet, _gather, minimal_cover, require_open_cover
 
 CARRIER_CAP = 200_000
 
@@ -432,12 +431,6 @@ def sheafify_sections(presheaf: Presheaf, U: OpenSet) -> list[CompatibleFamily]:
     """Sections of the generated sheaf over U, as compatible families over
     the minimal open neighborhoods of the points of U."""
     return list(_compatible_families(presheaf, minimal_cover(U)))
-
-
-def stalk_at(presheaf: Presheaf, label: str) -> list:
-    """The stalk at a point: on a finite site the germ colimit is attained
-    on the minimal open neighborhood."""
-    return presheaf.sections(minimal_open_neighborhood(presheaf.space, label))
 
 
 # -- gluing utilities ----------------------------------------------------------

@@ -6,21 +6,18 @@ over A(U) (a section, a vector, a matrix, a polynomial, a form, a tensor) is
 therefore one ℚ object per point of U, glued; `_Stalkwise` is the one base
 that stores such objects and restricts, adds, negates, scales, compares and
 hashes them stalk by stalk.  A section is the scalar case: one Fraction per
-point.  It is a unit exactly when it is nowhere zero; positivity, absolute
-value and the partial square root act pointwise.  Scalars are
+point.  It is a unit exactly when it is nowhere zero.  Scalars are
 fractions.Fraction: exact, in canonical form, with decidable equality.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import partial
 from operator import add, mul, neg, sub
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import (DimensionMismatch, DomainMismatch, NegativeInput, NonUnitSection,
-                     NotExact, UnknownPoint)
+from .errors import DimensionMismatch, DomainMismatch, NonUnitSection, UnknownPoint
 from .site import OpenSet
 
 Scalar = Union[int, Fraction]
@@ -32,22 +29,6 @@ def exact(value) -> Fraction:
     if isinstance(value, (int, Fraction, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
-
-
-def rational_try_sqrt(a: Fraction) -> Fraction:
-    """Exact square root of a nonnegative rational, or NotExact.
-
-    Succeeds exactly when numerator and denominator (in canonical form) are
-    perfect squares.
-    """
-    a = Fraction(a)
-    if a < 0:
-        raise NegativeInput(f"sqrt of negative rational {a}")
-    num, den = a.numerator, a.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise NotExact(f"{a} has no rational square root", witness=a)
-    return Fraction(rn, rd)
 
 
 class _Stalkwise:
@@ -215,7 +196,7 @@ class StructureSection(_Stalkwise):
             return hash(stalks[0])  # consistent with equality to that rational
         return hash((self.domain.mask, stalks))
 
-    # -- order structure ---------------------------------------------------------
+    # -- zeros and units ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.stalks)
@@ -227,20 +208,10 @@ class StructureSection(_Stalkwise):
     def zero_points(self) -> tuple[str, ...]:
         return tuple(p for p, v in zip(self.domain.labels, self.stalks) if v == 0)
 
-    def is_strictly_positive(self) -> bool:
-        return all(v > 0 for v in self.stalks)
-
     def inverse(self) -> "StructureSection":
         if not self.is_unit():
             raise NonUnitSection("section vanishes somewhere", points=self.zero_points())
         return self._like([1 / v for v in self.stalks])
-
-    def __abs__(self) -> "StructureSection":
-        return self._like(map(abs, self.stalks))
-
-    def try_sqrt(self) -> "StructureSection":
-        """Pointwise exact square root; NotExact if any value has none."""
-        return self._like(map(rational_try_sqrt, self.stalks))
 
     def __repr__(self):
         body = ", ".join(f"{p}: {v}" for p, v in zip(self.domain.labels, self.stalks))

@@ -103,8 +103,8 @@ class FormReport(NamedTuple):
 
 
 def check_form(omega: SectionMatrix) -> FormReport:
-    """Classify a bilinear form, skew or not: skewness, pointwise ranks by
-    RREF, nondegeneracy.
+    """Classify a bilinear form, skew or not: skewness, pointwise ranks (the
+    pivot count of qlinalg's fraction-free elimination), nondegeneracy.
 
     Nondegeneracy means det(Ω) is a unit section, i.e. nonzero at every
     point, equivalent to the section-level definition over the function
@@ -118,19 +118,14 @@ def check_form(omega: SectionMatrix) -> FormReport:
 
 def _is_skew(omega: SectionMatrix) -> bool:
     """NotSquare unless Ω is square; then whether s[i][j] = −s[j][i] for all
-    i, j at every stalk s (over ℚ the case i = j forces a zero diagonal)."""
+    i, j at every stalk s (over ℚ the case i = j forces a zero diagonal).
+    Entries are Fractions in lowest terms, so x = −y iff their numerators are
+    opposite and their denominators equal; no negated Fraction is built."""
     if not omega.is_square():
         raise NotSquare(f"{omega.rows}x{omega.cols} form matrix")
-    return all(x == -y for s in omega.stalks for row, column in zip(s, zip(*s))
+    return all(x.numerator == -y.numerator and x.denominator == y.denominator
+               for s in omega.stalks for row, column in zip(s, zip(*s))
                for x, y in zip(row, column))
-
-
-# -- pairing helpers ----------------------------------------------------------------
-
-
-def form_pairing(omega: SectionMatrix, u: SectionVector, v: SectionVector) -> StructureSection:
-    """ω(u, v) = uᵀ Ω v as a section."""
-    return u.pairing(omega @ v)
 
 
 # -- the constructive reduction -------------------------------------------------------
@@ -156,12 +151,10 @@ def rank_normal_form(omega: SectionMatrix) -> tuple[StructureSection, SectionMat
 
 class DarbouxBasis(NamedTuple):
     """A certified symplectic basis s₁..s_m, t₁..t_m of a nondegenerate
-    form; `kernel` is always empty.  P has the basis as columns and
-    gram = ᵗPΩP = J is the certificate."""
+    form.  P has the basis as columns and gram = ᵗPΩP = J is the certificate."""
 
     s: tuple[SectionVector, ...]
     t: tuple[SectionVector, ...]
-    kernel: tuple[SectionVector, ...]
     change_of_basis: SectionMatrix
     gram: SectionMatrix
 
@@ -183,7 +176,7 @@ def darboux_basis(omega: SectionMatrix) -> DarbouxBasis:
         raise Degenerate("form is degenerate; use skew_normal_form", points=bad)
     m = n // 2
     columns = P.columns()
-    return DarbouxBasis(tuple(columns[:m]), tuple(columns[m:]), (), P,
+    return DarbouxBasis(tuple(columns[:m]), tuple(columns[m:]), P,
                         standard_J(omega.domain, m))
 
 
@@ -201,18 +194,6 @@ def skew_normal_form(omega: SectionMatrix) -> tuple[int, SectionMatrix]:
     if bad:
         raise NonConstantRank("pointwise rank is not constant", points=bad)
     return m, P
-
-
-def standard_sum_decomposition(basis: DarbouxBasis) -> KForm:
-    """Σ_i sᵢ*∧tᵢ* for the dual basis of a Darboux basis; evaluates to the
-    original Gram form.
-
-    The dual basis is the rows of P⁻¹, so (sᵢ*∧tᵢ*)(e_a, e_b) summed over i
-    is the (a, b) entry of ᵗ(P⁻¹)·B·P⁻¹ with B the rank-2m block form.
-    """
-    P = basis.change_of_basis
-    P_inv = try_inverse_matrix(P)
-    return gram_two_form(P_inv.transpose() @ block_normal_form(P.domain, basis.m, P.rows) @ P_inv)
 
 
 # -- symplectomorphisms ---------------------------------------------------------------
@@ -306,18 +287,6 @@ def random_symplectic(domain: OpenSet, m: int, rng: random.Random,
         c = scalar()
         out = out @ symplectic_transvection(domain, m, v, c)
     return out
-
-
-# -- the E ⊕ E* example -------------------------------------------------------------------
-
-
-def hyperbolic_sum_form(domain: OpenSet, n: int) -> SectionMatrix:
-    """Gram matrix of ω((s₁,α₁),(s₂,α₂)) = α₂(s₁) − α₁(s₂) on A^n ⊕ (A^n)*,
-    evaluated on the gauge basis (e₁..e_n; ε¹*..εⁿ*): ω(eᵢ, εʲ*) = δᵢⱼ, so it
-    is the standard J of rank 2n."""
-    if n < 1:
-        raise DimensionMismatch("hyperbolic sum needs rank at least 1")
-    return standard_J(domain, n)
 
 
 # -- volume and orientation -----------------------------------------------------------------

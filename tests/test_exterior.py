@@ -1,16 +1,15 @@
 """Exterior algebra: alternation, tensor products, wedge laws, evaluation,
-volume elements, powers of 2-forms."""
+powers of 2-forms."""
 
 import random
 from fractions import Fraction as F
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
 from sympsheaf import (
     CovariantTensor,
-    GradedForm,
     KForm,
     SectionMatrix,
     SectionVector,
@@ -23,17 +22,9 @@ from sympsheaf import (
     sierpinski,
     standard_two_form,
     tensor_product,
-    volume_element,
     wedge,
 )
-from sympsheaf.errors import (
-    ArityMismatch,
-    DegenerateMetric,
-    DegreeOverflow,
-    DegreeTooLarge,
-    NonUnitDeterminant,
-    NotExact,
-)
+from sympsheaf.errors import ArityMismatch, DegreeOverflow, DegreeTooLarge
 
 from oracles import rand_frac, rand_section, rand_vector, wedge_eval_oracle
 
@@ -322,52 +313,6 @@ def test_evaluate_arity_mismatch():
         form.evaluate([SectionVector.basis(PT, 3, 0)])
 
 
-# -- volume elements -------------------------------------------------------------------
-
-
-def test_volume_identity_metric_kronecker_gauge():
-    n = 3
-    metric = SectionMatrix.identity(PT, n)
-    gauge = [SectionVector.basis(PT, n, i) for i in range(n)]
-    assert volume_element(metric, gauge) == KForm.basis_blade(PT, n, range(n))
-
-
-def test_volume_diagonal_metric():
-    metric = SectionMatrix(PT, [[4, 0], [0, 9]])
-    gauge = [SectionVector.basis(PT, 2, i) for i in range(2)]
-    assert volume_element(metric, gauge) == KForm.basis_blade(PT, 2, [0, 1]).scale(6)
-
-
-def test_volume_not_exact():
-    metric = SectionMatrix(PT, [[2, 0], [0, 1]])
-    gauge = [SectionVector.basis(PT, 2, i) for i in range(2)]
-    with pytest.raises(NotExact):
-        volume_element(metric, gauge)
-
-
-def test_volume_degenerate_metric():
-    metric = SectionMatrix(PT, [[1, 0], [0, 0]])
-    gauge = [SectionVector.basis(PT, 2, i) for i in range(2)]
-    with pytest.raises(DegenerateMetric):
-        volume_element(metric, gauge)
-
-
-def test_volume_needs_a_basis():
-    metric = SectionMatrix.identity(PT, 2)
-    v = SectionVector.basis(PT, 2, 0)
-    with pytest.raises(NonUnitDeterminant):
-        volume_element(metric, [v, v.scale(2)])
-
-
-def test_volume_respects_basis_change():
-    # with basis columns S: Ω = √|det(ᵗS·g·S)| · (1/det S)·ε-top
-    metric = SectionMatrix.identity(PT, 2)
-    basis = [SectionVector(PT, [1, 1]), SectionVector(PT, [0, 2])]
-    out = volume_element(metric, basis)
-    # Gram det = (det S)² = 4, scale 2, dual top form = (1/2)·ε-top
-    assert out == KForm.basis_blade(PT, 2, [0, 1])
-
-
 # -- powers of 2-forms -------------------------------------------------------------------
 
 
@@ -399,22 +344,3 @@ def test_form_power_overflow():
     w = standard_two_form(PT, 1)
     with pytest.raises(DegreeOverflow):
         form_power(w, 2)
-
-
-# -- graded forms ---------------------------------------------------------------------
-
-
-def test_graded_form_dimension():
-    n = 4
-    rng = random.Random(12)
-    full = GradedForm.from_forms(PT, n, [rand_form(rng, PT, n, k) for k in range(n + 1)])
-    slots = sum(comb(n, f.degree) for f in full.components)
-    assert slots == 2 ** n
-
-
-def test_graded_form_wedge_collects_degrees():
-    a = GradedForm.from_forms(PT, 3, [KForm.scalar(PT, 3, 2), KForm.basis_blade(PT, 3, [0])])
-    b = GradedForm.from_forms(PT, 3, [KForm.basis_blade(PT, 3, [1])])
-    out = a.wedge(b)
-    assert out.component(1) == KForm.basis_blade(PT, 3, [1]).scale(2)
-    assert out.component(2) == KForm.basis_blade(PT, 3, [0, 1])

@@ -23,7 +23,6 @@ from sympsheaf import (
     minimal_open_neighborhood,
     sheafify_sections,
     sierpinski,
-    stalk_at,
     validate_topology,
 )
 from sympsheaf.errors import (
@@ -379,9 +378,12 @@ def test_sheafify_constant_presheaf_on_discrete_space():
 def test_stalks():
     sp = sierpinski()
     presheaf = FunctionPresheaf(sp, (F(0), F(1)))
-    assert len(stalk_at(presheaf, "a")) == 2  # functions {a} → grid
-    assert len(stalk_at(presheaf, "b")) == 4  # minimal neighborhood {a,b}
-    assert len(stalk_at(ConstantPresheaf(sp, GRID), "b")) == len(GRID)
+    # on a finite site the stalk at a point is the carrier over its minimal
+    # open neighborhood, where the germ colimit is attained
+    a, b = (minimal_open_neighborhood(sp, p) for p in "ab")
+    assert len(presheaf.sections(a)) == 2  # functions {a} → grid
+    assert len(presheaf.sections(b)) == 4  # minimal neighborhood {a,b}
+    assert len(ConstantPresheaf(sp, GRID).sections(b)) == len(GRID)
 
 
 def test_carrier_cap():

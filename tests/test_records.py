@@ -15,9 +15,6 @@ from sympsheaf import (
     EigenReport,
     FiniteSpace,
     FormReport,
-    GradedForm,
-    IndependenceReport,
-    KForm,
     OpenSet,
     ReciprocityReport,
     SectionMatrix,
@@ -45,20 +42,17 @@ RECORDS = {
     EigenReport: {"pairs": (EigenPair(LAM, V),), "omitted_points": ("b",)},
     ReciprocityReport: {"palindromic": True, "spectrum_closed": True, "char": char_poly(I2),
                         "spectra": {"a": (F(1),), "b": (F(1),)}},
-    IndependenceReport: {"independent": False, "witness_point": "a",
-                         "relation": (F(1), F(-1, 2))},
     CompatibleFamily: {"cover": (A,), "sections": (LAM.restrict(A),)},
     AxiomReport: {"axiom": "S2", "status": "fail", "witness": {"left": LAM}},
     CompletenessReport: {"s1": AxiomReport("S1", "pass"), "s2": AxiomReport("S2", "pass")},
     FormReport: {"skew": True, "ranks": {"a": 2, "b": 0}, "nondegenerate": False},
     DarbouxBasis: {"s": (SectionVector.basis(U, 2, 0),), "t": (SectionVector.basis(U, 2, 1),),
-                   "kernel": (), "change_of_basis": I2, "gram": J},
+                   "change_of_basis": I2, "gram": J},
     SymplecticMap: {"matrix": I2, "form": J},
-    GradedForm: {"domain": U, "rank": 2, "components": (KForm(U, 2, 1, {(0,): 1}),)},
 }
 CLASSES = list(RECORDS)
 # the records that are not tuples: they equal only records of their own class
-PLAIN = [FiniteSpace, OpenSet, SymplecticMap, GradedForm]
+PLAIN = [FiniteSpace, OpenSet, SymplecticMap]
 
 
 def build(cls):
@@ -83,9 +77,6 @@ def test_positional_and_keyword_construction_agree(cls):
 
 
 def test_defaults():
-    independent = IndependenceReport(True)
-    assert independent == IndependenceReport(True, None, None)
-    assert independent.witness_point is None and independent.relation is None
     assert AxiomReport("S1", "pass").witness is None
 
 
@@ -136,8 +127,6 @@ def test_repr(cls):
 def test_repr_text():
     assert repr(AxiomReport("S1", "pass")) == \
         "AxiomReport(axiom='S1', status='pass', witness=None)"
-    assert repr(IndependenceReport(True)) == \
-        "IndependenceReport(independent=True, witness_point=None, relation=None)"
     assert repr(FormReport(skew=True, ranks={"a": 2}, nondegenerate=True)) == \
         "FormReport(skew=True, ranks={'a': 2}, nondegenerate=True)"
 
@@ -166,8 +155,6 @@ def test_properties_and_methods():
     assert FormReport(True, {}, True).constant_rank == 0
     assert not build(AxiomReport).passed and build(CompletenessReport).passed
     assert build(CompatibleFamily).describe() == [(("a",), LAM.restrict(A))]
-    one = build(GradedForm)
-    assert (one + one).component(1) == one.component(1).scale(2)
     assert SymplecticMap.identity(U, 1) == build(SymplecticMap)
 
 
@@ -175,19 +162,17 @@ def test_properties_and_methods():
 EXPORTED = {
     "CompatibleFamily", "CompletenessReport", "ConstantPresheaf", "CovariantTensor",
     "DarbouxBasis", "EigenPair", "EigenReport", "FiniteSpace", "FormReport",
-    "FunctionPresheaf", "GermSampledPresheaf", "GradedForm", "IndependenceReport", "KForm",
-    "OpenSet", "Polynomial", "ReciprocityReport", "SectionMatrix", "SectionVector",
-    "StructureSection", "SymplecticMap", "alternation", "as_section", "block_normal_form",
-    "cayley_hamilton_check", "char_poly", "check_completeness", "check_form", "darboux_basis",
-    "determinant", "determinant_adjugate", "discrete", "eigen_presheaf_glue", "eigen_sections",
-    "enumerate_topologies", "evaluate_form", "form_pairing", "form_power", "glue_stalkwise",
-    "gram_two_form", "hyperbolic_sum_form", "is_open_cover", "is_symplectic_map",
-    "kronecker_product", "linear_independence", "minimal_cover", "minimal_open_neighborhood",
-    "orientation_form", "point_space", "poly_apply", "random_symplectic", "rank_normal_form",
-    "rational_roots", "rational_try_sqrt", "reciprocal_spectrum_check", "sample_grid",
-    "sheafify_sections", "sierpinski", "skew_normal_form", "stalk_at", "standard_J",
-    "standard_sum_decomposition", "standard_two_form", "symplectic_transvection",
-    "tensor_product", "try_inverse_matrix", "validate_topology", "volume_element", "wedge",
+    "FunctionPresheaf", "GermSampledPresheaf", "KForm", "OpenSet", "Polynomial",
+    "ReciprocityReport", "SectionMatrix", "SectionVector", "StructureSection", "SymplecticMap",
+    "alternation", "as_section", "block_normal_form", "cayley_hamilton_check", "char_poly",
+    "check_completeness", "check_form", "darboux_basis", "determinant", "determinant_adjugate",
+    "discrete", "eigen_presheaf_glue", "eigen_sections", "enumerate_topologies", "form_power",
+    "glue_stalkwise", "gram_two_form", "is_open_cover", "is_symplectic_map", "minimal_cover",
+    "minimal_open_neighborhood", "orientation_form", "point_space", "poly_apply",
+    "random_symplectic", "rank_normal_form", "rational_roots", "reciprocal_spectrum_check",
+    "sample_grid", "sheafify_sections", "sierpinski", "skew_normal_form", "standard_J",
+    "standard_two_form", "symplectic_transvection", "tensor_product", "try_inverse_matrix",
+    "validate_topology", "wedge",
 }
 
 

@@ -10,11 +10,10 @@ from hypothesis import given, strategies as st
 from sympsheaf import (
     StructureSection,
     point_space,
-    rational_try_sqrt,
     sierpinski,
     validate_topology,
 )
-from sympsheaf.errors import NegativeInput, NonUnitSection, NotASubset, NotExact, UnknownPoint
+from sympsheaf.errors import NonUnitSection, NotASubset, UnknownPoint
 
 from oracles import rand_section
 
@@ -109,24 +108,11 @@ def test_inverse_positive_section_condition():
     for _ in range(25):
         s = StructureSection(sp.whole, [abs(rand_section(rng, sp.whole).stalks[i]) + 1
                                         for i in range(2)])
-        assert s.is_strictly_positive()
+        assert all(v > 0 for v in s.stalks)
         assert s.is_unit()
         inv = s.inverse()
         assert s * inv == StructureSection.one(sp.whole)
-        assert inv.is_strictly_positive()
-
-
-def test_absolute_value_and_sqrt():
-    sp = sierpinski()
-    rng = random.Random(11)
-    for _ in range(25):
-        s, t = rand_section(rng, sp.whole), rand_section(rng, sp.whole)
-        assert abs(s * t) == abs(s) * abs(t)
-        r = (s * s).try_sqrt()
-        assert r * r == s * s and r == abs(s)
-    bad = StructureSection.from_mapping(sp.whole, {"a": 2, "b": 1})
-    with pytest.raises(NotExact):
-        bad.try_sqrt()
+        assert all(v > 0 for v in inv.stalks)
 
 
 def test_mapping_must_match_domain():
@@ -189,20 +175,5 @@ def test_absolute_value_multiplicative(a, b):
 def test_strictly_positive_invertible(a):
     # inverse-positive-section condition on a one-point space
     s = StructureSection.constant(point_space().whole, a)
-    if s.is_strictly_positive():
+    if all(v > 0 for v in s.stalks):
         assert s.is_unit() and s * s.inverse() == 1
-
-
-def test_try_sqrt_examples():
-    assert rational_try_sqrt(F(9, 4)) == F(3, 2)
-    assert rational_try_sqrt(F(0)) == 0
-    with pytest.raises(NotExact):
-        rational_try_sqrt(F(2))
-    with pytest.raises(NegativeInput):
-        rational_try_sqrt(F(-1))
-
-
-@given(rationals)
-def test_try_sqrt_roundtrip(a):
-    r = rational_try_sqrt(a * a)
-    assert r * r == a * a

@@ -22,10 +22,8 @@ from sympsheaf import (
     determinant,
     determinant_adjugate,
     discrete,
-    form_pairing,
     form_power,
     gram_two_form,
-    hyperbolic_sum_form,
     is_symplectic_map,
     minimal_cover,
     orientation_form,
@@ -35,7 +33,6 @@ from sympsheaf import (
     sierpinski,
     skew_normal_form,
     standard_J,
-    standard_sum_decomposition,
     standard_two_form,
     symplectic_transvection,
     validate_topology,
@@ -78,9 +75,16 @@ def test_check_form_degenerate_block():
     assert report.constant_rank == 2
 
 
+NOT_SKEW = (
+    [[0, 1], [1, 0]],  # symmetric
+    [[0, F(1, 2)], [F(-1, 3), 0]],  # opposite numerators, different denominators
+    [[1, 0], [0, 0]],  # a nonzero diagonal entry
+)
+
+
 def test_check_form_rejects_symmetric():
-    report = check_form(SectionMatrix(PT, [[0, 1], [1, 0]]))
-    assert not report.skew
+    for rows in NOT_SKEW:
+        assert not check_form(SectionMatrix(PT, rows)).skew
 
 
 def test_check_form_mixed_rank_reported_per_point():
@@ -116,11 +120,13 @@ def test_rank_invariant_under_congruence():
 
 
 def test_darboux_on_J_returns_gauge():
-    J = standard_J(PT, 2)
-    basis = darboux_basis(J)
-    assert basis.m == 2
-    assert basis.change_of_basis == SectionMatrix.identity(PT, 4)
-    assert basis.gram == J
+    assert standard_J(PT, 1) == SectionMatrix(PT, [[0, 1], [-1, 0]])
+    for m in (1, 2, 3):
+        J = standard_J(PT, m)
+        basis = darboux_basis(J)
+        assert basis.m == m
+        assert basis.change_of_basis == SectionMatrix.identity(PT, 2 * m)
+        assert basis.gram == J
 
 
 def test_darboux_two_by_two_scaling():
@@ -148,10 +154,10 @@ def test_darboux_gram_conditions_hold():
     m = basis.m
     for i in range(m):
         for j in range(m):
-            assert form_pairing(omega, basis.s[i], basis.s[j]).is_zero()
-            assert form_pairing(omega, basis.t[i], basis.t[j]).is_zero()
+            assert basis.s[i].pairing(omega @ basis.s[j]).is_zero()
+            assert basis.t[i].pairing(omega @ basis.t[j]).is_zero()
             expected = 1 if i == j else 0
-            assert form_pairing(omega, basis.s[i], basis.t[j]) == expected
+            assert basis.s[i].pairing(omega @ basis.t[j]) == expected
 
 
 def test_darboux_rejects_degenerate():
@@ -161,8 +167,9 @@ def test_darboux_rejects_degenerate():
 
 
 def test_darboux_rejects_non_skew():
-    with pytest.raises(NotSkewSymmetric):
-        darboux_basis(SectionMatrix(PT, [[0, 1], [1, 0]]))
+    for rows in NOT_SKEW:
+        with pytest.raises(NotSkewSymmetric):
+            darboux_basis(SectionMatrix(PT, rows))
 
 
 def test_darboux_section_valued_with_moving_zeros():
@@ -218,7 +225,7 @@ def test_darboux_on_one_point_is_the_stalk_reduction():
 def test_darboux_on_empty_open_set_takes_half_the_size():
     E = sierpinski().empty
     basis = darboux_basis(SectionMatrix.zeros(E, 4, 4))
-    assert basis.m == 2 and len(basis.t) == 2 and basis.kernel == ()
+    assert basis.m == 2 and len(basis.t) == 2
     assert basis.change_of_basis.rows == basis.change_of_basis.cols == 4
 
 
@@ -467,26 +474,18 @@ def test_rand_skew_mixed_rejects_impossible_patterns_at_once():
 # -- the standard decomposition ---------------------------------------------------------
 
 
-def test_standard_sum_decomposition_gauge():
-    basis = darboux_basis(standard_J(PT, 1))
-    assert standard_sum_decomposition(basis) == KForm.basis_blade(PT, 2, [0, 1])
-
-
-def test_standard_sum_decomposition_m2_index_pattern():
-    basis = darboux_basis(standard_J(PT, 2))
-    form = standard_sum_decomposition(basis)
-    assert form == KForm(PT, 4, 2, {(0, 2): 1, (1, 3): 1})
-    assert form == standard_two_form(PT, 2)
-
-
 def test_standard_sum_decomposition_reproduces_gram():
+    # ω = Σᵢ sᵢ*∧tᵢ* over a Darboux basis: the 2-form of Ω evaluates to the
+    # pairing uᵀΩv, and to the standard J on the basis vectors
     rng = random.Random(6)
     omega = rand_skew_nondegenerate(rng, PT, 4)
-    form = standard_sum_decomposition(darboux_basis(omega))
+    form = gram_two_form(omega)
     for _ in range(20):
         u, v = rand_vector(rng, PT, 4), rand_vector(rng, PT, 4)
-        assert form.evaluate([u, v]) == form_pairing(omega, u, v)
-    assert form == gram_two_form(omega)
+        assert form.evaluate([u, v]) == u.pairing(omega @ v)
+    columns = darboux_basis(omega).change_of_basis.columns()
+    assert SectionMatrix(PT, [[form.evaluate([u, v]) for v in columns] for u in columns]) \
+        == standard_J(PT, 2)
 
 
 # -- symplectomorphisms -----------------------------------------------------------------
@@ -570,24 +569,6 @@ def test_symplectic_maps_are_injective():
     assert det.is_unit()
     for p in sp.whole.labels:
         assert not qlinalg.kernel_basis(M.at_point(p))
-
-
-# -- the E ⊕ E* example ------------------------------------------------------------------
-
-
-def test_hyperbolic_sum_form_rank1():
-    assert hyperbolic_sum_form(PT, 1) == SectionMatrix(PT, [[0, 1], [-1, 0]])
-
-
-def test_hyperbolic_sum_form_rank2_block():
-    assert hyperbolic_sum_form(PT, 2) == standard_J(PT, 2)
-
-
-def test_hyperbolic_sum_form_rank3_nondegenerate():
-    omega = hyperbolic_sum_form(PT, 3)
-    report = check_form(omega)
-    assert report.skew and report.nondegenerate and report.constant_rank == 6
-    assert darboux_basis(omega).m == 3
 
 
 # -- volume / orientation corollaries -------------------------------------------------------
